@@ -37,15 +37,17 @@
 //!
 //! # Crash safety
 //!
-//! [`write_cache_file`] writes to a process-unique temp file in the
-//! target directory and atomically renames it over the destination, so
-//! a crash mid-write leaves either the old file or the new file — never
-//! a torn one. Stale temp files are ignored by the loader and rewritten
-//! by the next flush.
+//! [`write_cache_file`] writes to a writer-unique temp file (process id
+//! and a per-process sequence number) in the target directory and
+//! atomically renames it over the destination, so a crash mid-write
+//! leaves either the old file or the new file — never a torn one — and
+//! concurrent writers never share a temp file. Stale temp files are
+//! ignored by the loader.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pool::EvalKey;
 
@@ -191,7 +193,7 @@ fn write_record(out: &mut Vec<u8>, key: &EvalKey, value: f64) {
 ///
 /// Records are written in sorted key order, so the same entries always
 /// produce the same bytes (handy for tests and content comparison). The
-/// write goes to a process-unique sibling temp file first and is
+/// write goes to a writer-unique sibling temp file first and is
 /// `rename`d into place — the destination is never torn.
 pub(crate) fn write_cache_file(path: &Path, entries: &HashMap<EvalKey, f64>) -> io::Result<()> {
     let mut sorted: Vec<(&EvalKey, &f64)> = entries.iter().collect();
@@ -204,13 +206,17 @@ pub(crate) fn write_cache_file(path: &Path, entries: &HashMap<EvalKey, f64>) -> 
         write_record(&mut bytes, key, value);
     }
 
+    // Process id and a per-process sequence number: no two writers, in
+    // this process or another, ever share a temp file.
+    static SEQUENCE: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let tmp = dir.join(format!(
-        "{}.tmp.{}",
+        "{}.tmp.{}.{}",
         path.file_name()
             .and_then(|n| n.to_str())
             .unwrap_or(CACHE_FILE),
-        std::process::id()
+        std::process::id(),
+        SEQUENCE.fetch_add(1, Ordering::Relaxed)
     ));
     let mut file = std::fs::File::create(&tmp)?;
     file.write_all(&bytes)?;
@@ -278,6 +284,40 @@ mod tests {
         let first = std::fs::read(&path).unwrap();
         write_cache_file(&path, &entries).unwrap();
         assert_eq!(first, std::fs::read(&path).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_flushes_of_one_cache_keep_every_entry() {
+        let dir = std::env::temp_dir().join(format!("wsn-persist-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = std::sync::Arc::new(crate::EvalCache::new());
+        cache.persist_to(&dir).unwrap();
+        // Two workers insert disjoint entries and flush after each one,
+        // so their flushes overlap.
+        let workers: Vec<_> = (0..2u64)
+            .map(|worker| {
+                let cache = std::sync::Arc::clone(&cache);
+                std::thread::spawn(move || {
+                    (0..40u64)
+                        .map(|i| {
+                            let key = EvalKey::new(EngineKind::Envelope, worker, &[i as f64]);
+                            cache.insert(key, (worker * 100 + i) as f64);
+                            cache.flush()
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            for flushed in worker.join().unwrap() {
+                flushed.unwrap();
+            }
+        }
+        let reloaded = crate::EvalCache::new();
+        reloaded.persist_to(&dir).unwrap();
+        assert_eq!(reloaded.len(), 80);
+        assert_eq!(reloaded.stats().disk_loads, 80);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

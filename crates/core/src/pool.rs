@@ -232,6 +232,9 @@ pub struct EvalCache {
     quarantined: AtomicUsize,
     /// Inserts since the last successful flush.
     dirty: AtomicUsize,
+    /// Held across a flush's read-union-write, so concurrent flushes of
+    /// one cache never write an older snapshot over a newer one.
+    flushing: Mutex<()>,
 }
 
 impl Clone for EvalCache {
@@ -249,6 +252,7 @@ impl Clone for EvalCache {
             disk_loads: AtomicUsize::new(self.disk_loads.load(Ordering::Relaxed)),
             quarantined: AtomicUsize::new(self.quarantined.load(Ordering::Relaxed)),
             dirty: AtomicUsize::new(self.dirty.load(Ordering::Relaxed)),
+            flushing: Mutex::new(()),
         }
     }
 }
@@ -386,6 +390,10 @@ impl EvalCache {
         let Some(path) = self.persist_path() else {
             return Ok(());
         };
+        if self.dirty.load(Ordering::Relaxed) == 0 {
+            return Ok(());
+        }
+        let _flushing = self.flushing.lock().unwrap_or_else(PoisonError::into_inner);
         let dirty = self.dirty.swap(0, Ordering::Relaxed);
         if dirty == 0 {
             return Ok(());

@@ -4,7 +4,7 @@
 //! One frame per line, one JSON object per frame, in both directions:
 //!
 //! * **client → server**: a [`Request`] — a job submission (`run`,
-//!   `simulate`, `faults`, `network`) or a control message (`stats`,
+//!   `simulate`, `faults`, `network`, `pareto`) or a control message (`stats`,
 //!   `ping`, `cancel`, `shutdown`). Every job may carry a client-chosen
 //!   `"id"` tag, echoed verbatim in every frame about that job, so a
 //!   client multiplexing jobs on one connection can match streamed
@@ -38,7 +38,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use wsn_node::EngineKind;
+use wsn_node::{EngineKind, NodeConfig};
 
 /// Upper bound on a single frame, in bytes (newline excluded). Chosen
 /// generously above the largest report the flows produce, yet small
@@ -437,260 +437,358 @@ fn unsafe_free_utf8_prefix(bytes: &[u8]) -> &str {
 // ---------------------------------------------------------------------------
 // Requests (client → server)
 // ---------------------------------------------------------------------------
+//
+// Each job type is one spec, declared once by `job_spec!`: each field's
+// default and wire type sit on its own row. Reading (from the wire or
+// from command-line options) and writing both walk that one field list,
+// so a field cannot be added to one and forgotten in the other.
 
-/// A single-node DSE job: the paper flow end to end
-/// (`DseFlow::run()`), equivalent to the CLI's `run --json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunJob {
-    /// Optional client-chosen tag, echoed in every frame about the job.
-    pub id: Option<String>,
-    /// DOE seed (CLI default 12).
-    pub seed: u64,
-    /// D-optimal design runs (CLI default 10).
-    pub runs: u64,
-    /// Base vibration frequency in Hz (CLI default 75).
-    pub f0: f64,
-    /// Simulated horizon in seconds (CLI default 3600).
-    pub horizon: f64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Fault-injection seed (0 with rate 0.0 means nominal).
-    pub fault_seed: u64,
-    /// Fault-injection rate in `[0, 1]`.
-    pub fault_rate: f64,
-    /// Optional per-evaluation wall-clock budget, in milliseconds,
-    /// mapped onto the pool's deadline machinery.
-    pub timeout_ms: Option<u64>,
+/// Base vibration frequency of every job, in Hz.
+const DEFAULT_F0_HZ: f64 = 75.0;
+/// Simulated horizon of every job, in seconds.
+const DEFAULT_HORIZON_S: f64 = 3600.0;
+/// DOE / optimiser seed of the DSE jobs.
+const DEFAULT_SEED: u64 = 12;
+/// D-optimal design size of the DSE jobs.
+const DEFAULT_RUNS: u64 = 10;
+/// Fleet heterogeneity seed of the fleet jobs.
+const DEFAULT_FLEET_SEED: u64 = 99;
+
+/// Declares a job spec: the struct, its `Default` and its field list
+/// from one table of `name: type = default => wire type` rows. A
+/// trailing `flatten` row embeds another spec's fields.
+macro_rules! job_spec {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* $field:ident: $ty:ty = $default:expr => $slot:ident,)*
+        }
+        $($(#[$xdoc:meta])* flatten $xfield:ident: $xty:ident)?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+            $($(#[$xdoc])* pub $xfield: $xty,)?
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                $name {
+                    $($field: $default,)*
+                    $($xfield: $xty::default(),)?
+                }
+            }
+        }
+
+        impl FieldList for $name {
+            fn fields(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+                #[allow(unused_mut)]
+                let mut fields = vec![$((stringify!($field), Slot::$slot(&mut self.$field)),)*];
+                $(fields.extend(self.$xfield.fields());)?
+                fields
+            }
+        }
+    };
 }
 
-impl Default for RunJob {
-    fn default() -> Self {
-        RunJob {
-            id: None,
-            seed: 12,
-            runs: 10,
-            f0: 75.0,
-            horizon: 3600.0,
-            engine: EngineKind::Envelope,
-            fault_seed: 0,
-            fault_rate: 0.0,
-            timeout_ms: None,
+job_spec! {
+    /// A single-node DSE job: the paper flow end to end
+    /// (`DseFlow::run()`), the CLI's `run`.
+    pub struct RunJob {
+        /// Optional client-chosen tag, echoed in every frame about the job.
+        id: Option<String> = None => OptStr,
+        /// DOE seed.
+        seed: u64 = DEFAULT_SEED => U64,
+        /// D-optimal design runs.
+        runs: u64 = DEFAULT_RUNS => U64,
+        /// Base vibration frequency in Hz.
+        f0: f64 = DEFAULT_F0_HZ => F64,
+        /// Simulated horizon in seconds.
+        horizon: f64 = DEFAULT_HORIZON_S => F64,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope => Engine,
+        /// Fault-injection seed (0 with rate 0.0 means nominal).
+        fault_seed: u64 = 0 => U64,
+        /// Fault-injection rate in `[0, 1]`.
+        fault_rate: f64 = 0.0 => Rate,
+        /// Optional per-evaluation wall-clock budget in milliseconds.
+        timeout_ms: Option<u64> = None => OptU64,
+        /// The full engine's analogue step in seconds (`0`: its own).
+        dt: f64 = 0.0 => Step,
+    }
+}
+
+job_spec! {
+    /// A single simulation of one node configuration (the CLI's
+    /// `simulate`).
+    pub struct SimulateJob {
+        /// Optional client-chosen tag.
+        id: Option<String> = None => OptStr,
+        /// MCU clock in Hz (default: the paper's original design).
+        clock: f64 = NodeConfig::original().clock_hz => F64,
+        /// Watchdog period in seconds.
+        watchdog: f64 = NodeConfig::original().watchdog_s => F64,
+        /// Transmission interval in seconds.
+        interval: f64 = NodeConfig::original().tx_interval_s => F64,
+        /// Base vibration frequency in Hz.
+        f0: f64 = DEFAULT_F0_HZ => F64,
+        /// Simulated horizon in seconds.
+        horizon: f64 = DEFAULT_HORIZON_S => F64,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope => Engine,
+        /// Fault-injection seed.
+        fault_seed: u64 = 0 => U64,
+        /// Fault-injection rate in `[0, 1]`.
+        fault_rate: f64 = 0.0 => Rate,
+        /// Optional wall-clock budget in milliseconds.
+        timeout_ms: Option<u64> = None => OptU64,
+        /// The full engine's analogue step in seconds (`0`: its own).
+        dt: f64 = 0.0 => Step,
+        /// Record the supply-voltage trace. Trace sampling splits the
+        /// integration segments, so it can change the report in the last
+        /// digits: it is part of the job, not an output option.
+        trace: bool = false => Bool,
+    }
+}
+
+job_spec! {
+    /// A fault-injection robustness ensemble (the CLI's `faults`).
+    pub struct FaultsJob {
+        /// Optional client-chosen tag.
+        id: Option<String> = None => OptStr,
+        /// MCU clock in Hz.
+        clock: f64 = NodeConfig::original().clock_hz => F64,
+        /// Watchdog period in seconds.
+        watchdog: f64 = NodeConfig::original().watchdog_s => F64,
+        /// Transmission interval in seconds.
+        interval: f64 = NodeConfig::original().tx_interval_s => F64,
+        /// Base vibration frequency in Hz.
+        f0: f64 = DEFAULT_F0_HZ => F64,
+        /// Simulated horizon in seconds.
+        horizon: f64 = DEFAULT_HORIZON_S => F64,
+        /// Fault-injection seed.
+        fault_seed: u64 = 0 => U64,
+        /// Fault-injection rate; an ensemble needs a positive one.
+        fault_rate: f64 = 0.1 => Rate,
+        /// Independent fault realisations (at least 1).
+        seeds: u64 = 8 => U64,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope => Engine,
+        /// Optional wall-clock budget in milliseconds.
+        timeout_ms: Option<u64> = None => OptU64,
+        /// The full engine's analogue step in seconds (`0`: its own).
+        dt: f64 = 0.0 => Step,
+    }
+}
+
+job_spec! {
+    /// The fleet options `network` and `pareto --fleet` share: node
+    /// heterogeneity, the radio channel and the topology. `None` keeps
+    /// the paper fleet's own value (`FleetSpec::paper`: ±2 Hz and 30 s
+    /// spreads on a 10 m ring) or the chosen channel's.
+    pub struct FleetOptions {
+        /// Per-node frequency spread in Hz.
+        freq_spread: Option<f64> = None => OptF64,
+        /// Per-node phase spread in seconds.
+        phase_spread: Option<f64> = None => OptF64,
+        /// Use the ideal (collision-free) channel.
+        ideal: bool = false => Bool,
+        /// Sink deduplication slot in seconds (positive).
+        slot: Option<f64> = None => OptF64,
+        /// Interference range in metres (`0` disables collisions).
+        interference: Option<f64> = None => OptF64,
+        /// Delivery range in metres.
+        delivery: Option<f64> = None => OptF64,
+        /// Ring topology radius in metres (ignored on a grid).
+        ring_radius: Option<f64> = None => OptF64,
+        /// Grid topology pitch in metres; set, it replaces the ring.
+        grid_pitch: Option<f64> = None => OptF64,
+    }
+}
+
+job_spec! {
+    /// A fleet job: plain evaluation (`dse: false`, the CLI's `network`)
+    /// or fleet-level DSE (`dse: true`, the CLI's `network --dse`).
+    pub struct NetworkJob {
+        /// Optional client-chosen tag.
+        id: Option<String> = None => OptStr,
+        /// Fleet size (at least 1).
+        nodes: u64 = 16 => U64,
+        /// Fleet heterogeneity seed.
+        fleet_seed: u64 = DEFAULT_FLEET_SEED => U64,
+        /// Base vibration frequency in Hz.
+        f0: f64 = DEFAULT_F0_HZ => F64,
+        /// Simulated horizon in seconds.
+        horizon: f64 = DEFAULT_HORIZON_S => F64,
+        /// Run the fleet-level DSE instead of a single evaluation.
+        dse: bool = false => Bool,
+        /// DOE seed (DSE only).
+        seed: u64 = DEFAULT_SEED => U64,
+        /// D-optimal design runs (DSE only).
+        runs: u64 = DEFAULT_RUNS => U64,
+        /// MCU clock in Hz (plain evaluation only).
+        clock: f64 = NodeConfig::original().clock_hz => F64,
+        /// Watchdog period in seconds (plain evaluation only).
+        watchdog: f64 = NodeConfig::original().watchdog_s => F64,
+        /// Transmission interval in seconds (plain evaluation only).
+        interval: f64 = NodeConfig::original().tx_interval_s => F64,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope => Engine,
+        /// Fault-injection seed.
+        fault_seed: u64 = 0 => U64,
+        /// Fault-injection rate in `[0, 1]`.
+        fault_rate: f64 = 0.0 => Rate,
+        /// Optional wall-clock budget in milliseconds.
+        timeout_ms: Option<u64> = None => OptU64,
+        /// The full engine's analogue step in seconds (`0`: its own).
+        dt: f64 = 0.0 => Step,
+    }
+    /// Heterogeneity, channel and topology.
+    flatten fleet_options: FleetOptions
+}
+
+job_spec! {
+    /// A multi-objective Pareto DSE job: the CLI's `pareto`
+    /// (single-node) or `pareto --fleet`.
+    pub struct ParetoJob {
+        /// Optional client-chosen tag.
+        id: Option<String> = None => OptStr,
+        /// Optimise the fleet objective vector instead of the single-node
+        /// one.
+        fleet: bool = false => Bool,
+        /// Fleet size (fleet mode only; at least 1).
+        nodes: u64 = 5 => U64,
+        /// Fleet heterogeneity seed (fleet mode only).
+        fleet_seed: u64 = DEFAULT_FLEET_SEED => U64,
+        /// Base vibration frequency in Hz.
+        f0: f64 = DEFAULT_F0_HZ => F64,
+        /// Simulated horizon in seconds.
+        horizon: f64 = DEFAULT_HORIZON_S => F64,
+        /// Comma-separated objective-axis subset (`None` = full vector).
+        objectives: Option<String> = None => OptStr,
+        /// Adaptive sequential DOE instead of the fixed D-optimal plan.
+        adaptive: bool = false => Bool,
+        /// Adaptive evaluation budget (design points, at least 4).
+        budget: u64 = 18 => U64,
+        /// DOE / acquisition / NSGA-II seed.
+        seed: u64 = DEFAULT_SEED => U64,
+        /// Fixed plan's design size (non-adaptive only).
+        runs: u64 = DEFAULT_RUNS => U64,
+        /// Simulation engine.
+        engine: EngineKind = EngineKind::Envelope => Engine,
+        /// Widen the space with the optional timer-quantum factor.
+        timer_space: bool = false => Bool,
+        /// Optional wall-clock budget in milliseconds.
+        timeout_ms: Option<u64> = None => OptU64,
+        /// Fault-injection seed.
+        fault_seed: u64 = 0 => U64,
+        /// Fault-injection rate in `[0, 1]`.
+        fault_rate: f64 = 0.0 => Rate,
+        /// The full engine's analogue step in seconds (`0`: its own).
+        dt: f64 = 0.0 => Step,
+        /// Adaptive driver's per-round batch size.
+        batch: u64 = 3 => U64,
+        /// Cap on the validated front size.
+        front_cap: u64 = 12 => U64,
+        /// Acquisition exploration weight in `[0, 1]`.
+        explore: f64 = 0.5 => F64,
+    }
+    /// Heterogeneity, channel and topology (fleet mode only).
+    flatten fleet_options: FleetOptions
+}
+
+/// A mutable view of one job field, by its wire type.
+enum Slot<'a> {
+    U64(&'a mut u64),
+    F64(&'a mut f64),
+    /// A probability in `[0, 1]`.
+    Rate(&'a mut f64),
+    /// The full engine's analogue step: `0` (the engine's own) or more.
+    Step(&'a mut f64),
+    Bool(&'a mut bool),
+    OptU64(&'a mut Option<u64>),
+    OptF64(&'a mut Option<f64>),
+    OptStr(&'a mut Option<String>),
+    Engine(&'a mut EngineKind),
+}
+
+/// A spec's fields, in wire order (see [`job_spec!`]).
+trait FieldList {
+    fn fields(&mut self) -> Vec<(&'static str, Slot<'_>)>;
+}
+
+/// A job spec: its defaults, its fields and its cross-field checks.
+trait JobSpec: FieldList + Default + Clone {
+    /// Checks beyond a single field's type and range.
+    fn check(&self) -> Result<(), ProtocolError> {
+        Ok(())
+    }
+}
+
+impl JobSpec for RunJob {}
+
+impl JobSpec for SimulateJob {}
+
+impl JobSpec for FaultsJob {
+    fn check(&self) -> Result<(), ProtocolError> {
+        if self.fault_rate <= 0.0 {
+            return Err(ProtocolError::bad_field(
+                "fault_rate",
+                "a robustness ensemble needs a positive rate",
+            ));
+        }
+        if self.seeds == 0 {
+            return Err(ProtocolError::bad_field(
+                "seeds",
+                "expected at least one realisation",
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl FleetOptions {
+    /// Fleet checks, `nodes` included.
+    fn check(&self, nodes: u64) -> Result<(), ProtocolError> {
+        let bad = ProtocolError::bad_field;
+        if nodes == 0 {
+            return Err(bad("nodes", "a fleet needs at least one node"));
+        }
+        for (name, value) in [
+            ("freq_spread", self.freq_spread),
+            ("phase_spread", self.phase_spread),
+            ("interference", self.interference),
+            ("delivery", self.delivery),
+        ] {
+            if value.is_some_and(|x| x < 0.0) {
+                return Err(bad(name, "expected a non-negative value"));
+            }
+        }
+        match self.slot {
+            Some(slot) if slot <= 0.0 => Err(bad("slot", "expected a positive slot")),
+            _ => Ok(()),
         }
     }
 }
 
-/// A single simulation of one node configuration (the CLI's
-/// `simulate --json`, trace disabled).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulateJob {
-    /// Optional client-chosen tag.
-    pub id: Option<String>,
-    /// MCU clock in Hz (CLI default 4e6).
-    pub clock: f64,
-    /// Watchdog period in seconds (CLI default 320).
-    pub watchdog: f64,
-    /// Transmission interval in seconds (CLI default 5).
-    pub interval: f64,
-    /// Base vibration frequency in Hz.
-    pub f0: f64,
-    /// Simulated horizon in seconds.
-    pub horizon: f64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Fault-injection seed.
-    pub fault_seed: u64,
-    /// Fault-injection rate in `[0, 1]`.
-    pub fault_rate: f64,
-    /// Optional wall-clock budget in milliseconds.
-    pub timeout_ms: Option<u64>,
-}
-
-impl Default for SimulateJob {
-    fn default() -> Self {
-        SimulateJob {
-            id: None,
-            clock: 4e6,
-            watchdog: 320.0,
-            interval: 5.0,
-            f0: 75.0,
-            horizon: 3600.0,
-            engine: EngineKind::Envelope,
-            fault_seed: 0,
-            fault_rate: 0.0,
-            timeout_ms: None,
-        }
+impl JobSpec for NetworkJob {
+    fn check(&self) -> Result<(), ProtocolError> {
+        self.fleet_options.check(self.nodes)
     }
 }
 
-/// A fault-injection robustness ensemble (the CLI's `faults --json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultsJob {
-    /// Optional client-chosen tag.
-    pub id: Option<String>,
-    /// MCU clock in Hz.
-    pub clock: f64,
-    /// Watchdog period in seconds.
-    pub watchdog: f64,
-    /// Transmission interval in seconds.
-    pub interval: f64,
-    /// Base vibration frequency in Hz.
-    pub f0: f64,
-    /// Simulated horizon in seconds.
-    pub horizon: f64,
-    /// Fault-injection seed.
-    pub fault_seed: u64,
-    /// Fault-injection rate; must be positive for an ensemble to mean
-    /// anything.
-    pub fault_rate: f64,
-    /// Independent fault realisations (CLI default 8, at least 1).
-    pub seeds: u64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Optional wall-clock budget in milliseconds.
-    pub timeout_ms: Option<u64>,
-}
-
-impl Default for FaultsJob {
-    fn default() -> Self {
-        FaultsJob {
-            id: None,
-            clock: 4e6,
-            watchdog: 320.0,
-            interval: 5.0,
-            f0: 75.0,
-            horizon: 3600.0,
-            fault_seed: 0,
-            fault_rate: 0.1,
-            seeds: 8,
-            engine: EngineKind::Envelope,
-            timeout_ms: None,
+impl JobSpec for ParetoJob {
+    fn check(&self) -> Result<(), ProtocolError> {
+        if self.budget < 4 {
+            return Err(ProtocolError::bad_field(
+                "budget",
+                "the adaptive driver needs at least four evaluations",
+            ));
         }
-    }
-}
-
-/// A fleet job: plain evaluation (`dse: false`, the CLI's
-/// `network --json`) or fleet-level DSE (`dse: true`, the CLI's
-/// `network --dse --json`). Exotic channel and topology knobs keep
-/// their CLI defaults; they stay CLI-only until a client needs them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkJob {
-    /// Optional client-chosen tag.
-    pub id: Option<String>,
-    /// Fleet size (CLI default 16, at least 1).
-    pub nodes: u64,
-    /// Fleet heterogeneity seed (CLI default 99).
-    pub fleet_seed: u64,
-    /// Base vibration frequency in Hz.
-    pub f0: f64,
-    /// Simulated horizon in seconds.
-    pub horizon: f64,
-    /// Per-node frequency spread in Hz (CLI default 2).
-    pub freq_spread: f64,
-    /// Per-node phase spread in seconds (CLI default 30).
-    pub phase_spread: f64,
-    /// Use the ideal (collision-free) channel.
-    pub ideal: bool,
-    /// Run the fleet-level DSE instead of a single evaluation.
-    pub dse: bool,
-    /// DOE seed (DSE only).
-    pub seed: u64,
-    /// D-optimal design runs (DSE only).
-    pub runs: u64,
-    /// MCU clock in Hz (plain evaluation only).
-    pub clock: f64,
-    /// Watchdog period in seconds (plain evaluation only).
-    pub watchdog: f64,
-    /// Transmission interval in seconds (plain evaluation only).
-    pub interval: f64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Fault-injection seed.
-    pub fault_seed: u64,
-    /// Fault-injection rate in `[0, 1]`.
-    pub fault_rate: f64,
-    /// Optional wall-clock budget in milliseconds.
-    pub timeout_ms: Option<u64>,
-}
-
-impl Default for NetworkJob {
-    fn default() -> Self {
-        NetworkJob {
-            id: None,
-            nodes: 16,
-            fleet_seed: 99,
-            f0: 75.0,
-            horizon: 3600.0,
-            freq_spread: 2.0,
-            phase_spread: 30.0,
-            ideal: false,
-            dse: false,
-            seed: 12,
-            runs: 10,
-            clock: 4e6,
-            watchdog: 320.0,
-            interval: 5.0,
-            engine: EngineKind::Envelope,
-            fault_seed: 0,
-            fault_rate: 0.0,
-            timeout_ms: None,
-        }
-    }
-}
-
-/// A multi-objective Pareto DSE job: the CLI's `pareto --json`
-/// (single-node) or `pareto --fleet --json`. Exotic fleet knobs
-/// (spreads, channel, topology) keep their CLI defaults; they stay
-/// CLI-only until a client needs them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParetoJob {
-    /// Optional client-chosen tag.
-    pub id: Option<String>,
-    /// Optimise the fleet objective vector instead of the single-node
-    /// one.
-    pub fleet: bool,
-    /// Fleet size (fleet mode only; CLI default 5, at least 1).
-    pub nodes: u64,
-    /// Fleet heterogeneity seed (fleet mode only; CLI default 99).
-    pub fleet_seed: u64,
-    /// Base vibration frequency in Hz.
-    pub f0: f64,
-    /// Simulated horizon in seconds.
-    pub horizon: f64,
-    /// Comma-separated objective-axis subset (`None` = full vector).
-    pub objectives: Option<String>,
-    /// Adaptive sequential DOE instead of the fixed D-optimal plan.
-    pub adaptive: bool,
-    /// Adaptive evaluation budget (design points).
-    pub budget: u64,
-    /// DOE / acquisition / NSGA-II seed.
-    pub seed: u64,
-    /// Fixed plan's design size (non-adaptive only).
-    pub runs: u64,
-    /// Simulation engine.
-    pub engine: EngineKind,
-    /// Widen the space with the optional timer-quantum factor.
-    pub timer_space: bool,
-    /// Optional wall-clock budget in milliseconds.
-    pub timeout_ms: Option<u64>,
-}
-
-impl Default for ParetoJob {
-    fn default() -> Self {
-        ParetoJob {
-            id: None,
-            fleet: false,
-            nodes: 5,
-            fleet_seed: 99,
-            f0: 75.0,
-            horizon: 3600.0,
-            objectives: None,
-            adaptive: false,
-            budget: 18,
-            seed: 12,
-            runs: 10,
-            engine: EngineKind::Envelope,
-            timer_space: false,
-            timeout_ms: None,
+        match self.fleet {
+            true => self.fleet_options.check(self.nodes),
+            false => Ok(()),
         }
     }
 }
@@ -778,135 +876,43 @@ impl Request {
             .get("type")
             .ok_or_else(|| ProtocolError::missing_field("type"))?
             .as_str()
-            .ok_or_else(|| ProtocolError::bad_field("type", "expected a string"))?
-            .to_owned();
-        match kind.as_str() {
-            "run" => Ok(Request::Run(RunJob {
-                id: opt_str(&doc, "id")?,
-                seed: u64_or(&doc, "seed", 12)?,
-                runs: u64_or(&doc, "runs", 10)?,
-                f0: f64_or(&doc, "f0", 75.0)?,
-                horizon: f64_or(&doc, "horizon", 3600.0)?,
-                engine: engine_or(&doc)?,
-                fault_seed: u64_or(&doc, "fault_seed", 0)?,
-                fault_rate: rate_or(&doc, "fault_rate", 0.0)?,
-                timeout_ms: opt_u64(&doc, "timeout_ms")?,
-            })),
-            "simulate" => Ok(Request::Simulate(SimulateJob {
-                id: opt_str(&doc, "id")?,
-                clock: f64_or(&doc, "clock", 4e6)?,
-                watchdog: f64_or(&doc, "watchdog", 320.0)?,
-                interval: f64_or(&doc, "interval", 5.0)?,
-                f0: f64_or(&doc, "f0", 75.0)?,
-                horizon: f64_or(&doc, "horizon", 3600.0)?,
-                engine: engine_or(&doc)?,
-                fault_seed: u64_or(&doc, "fault_seed", 0)?,
-                fault_rate: rate_or(&doc, "fault_rate", 0.0)?,
-                timeout_ms: opt_u64(&doc, "timeout_ms")?,
-            })),
-            "faults" => {
-                let job = FaultsJob {
-                    id: opt_str(&doc, "id")?,
-                    clock: f64_or(&doc, "clock", 4e6)?,
-                    watchdog: f64_or(&doc, "watchdog", 320.0)?,
-                    interval: f64_or(&doc, "interval", 5.0)?,
-                    f0: f64_or(&doc, "f0", 75.0)?,
-                    horizon: f64_or(&doc, "horizon", 3600.0)?,
-                    fault_seed: u64_or(&doc, "fault_seed", 0)?,
-                    fault_rate: rate_or(&doc, "fault_rate", 0.1)?,
-                    seeds: u64_or(&doc, "seeds", 8)?,
-                    engine: engine_or(&doc)?,
-                    timeout_ms: opt_u64(&doc, "timeout_ms")?,
-                };
-                if job.fault_rate <= 0.0 {
-                    return Err(ProtocolError::bad_field(
-                        "fault_rate",
-                        "a robustness ensemble needs a positive rate",
-                    ));
-                }
-                if job.seeds == 0 {
-                    return Err(ProtocolError::bad_field(
-                        "seeds",
-                        "expected at least one realisation",
-                    ));
-                }
-                Ok(Request::Faults(job))
-            }
-            "network" => {
-                let job = NetworkJob {
-                    id: opt_str(&doc, "id")?,
-                    nodes: u64_or(&doc, "nodes", 16)?,
-                    fleet_seed: u64_or(&doc, "fleet_seed", 99)?,
-                    f0: f64_or(&doc, "f0", 75.0)?,
-                    horizon: f64_or(&doc, "horizon", 3600.0)?,
-                    freq_spread: f64_or(&doc, "freq_spread", 2.0)?,
-                    phase_spread: f64_or(&doc, "phase_spread", 30.0)?,
-                    ideal: bool_or(&doc, "ideal", false)?,
-                    dse: bool_or(&doc, "dse", false)?,
-                    seed: u64_or(&doc, "seed", 12)?,
-                    runs: u64_or(&doc, "runs", 10)?,
-                    clock: f64_or(&doc, "clock", 4e6)?,
-                    watchdog: f64_or(&doc, "watchdog", 320.0)?,
-                    interval: f64_or(&doc, "interval", 5.0)?,
-                    engine: engine_or(&doc)?,
-                    fault_seed: u64_or(&doc, "fault_seed", 0)?,
-                    fault_rate: rate_or(&doc, "fault_rate", 0.0)?,
-                    timeout_ms: opt_u64(&doc, "timeout_ms")?,
-                };
-                if job.nodes == 0 {
-                    return Err(ProtocolError::bad_field(
-                        "nodes",
-                        "a fleet needs at least one node",
-                    ));
-                }
-                Ok(Request::Network(job))
-            }
-            "pareto" => {
-                let job = ParetoJob {
-                    id: opt_str(&doc, "id")?,
-                    fleet: bool_or(&doc, "fleet", false)?,
-                    nodes: u64_or(&doc, "nodes", 5)?,
-                    fleet_seed: u64_or(&doc, "fleet_seed", 99)?,
-                    f0: f64_or(&doc, "f0", 75.0)?,
-                    horizon: f64_or(&doc, "horizon", 3600.0)?,
-                    objectives: opt_str(&doc, "objectives")?,
-                    adaptive: bool_or(&doc, "adaptive", false)?,
-                    budget: u64_or(&doc, "budget", 18)?,
-                    seed: u64_or(&doc, "seed", 12)?,
-                    runs: u64_or(&doc, "runs", 10)?,
-                    engine: engine_or(&doc)?,
-                    timer_space: bool_or(&doc, "timer_space", false)?,
-                    timeout_ms: opt_u64(&doc, "timeout_ms")?,
-                };
-                if job.fleet && job.nodes == 0 {
-                    return Err(ProtocolError::bad_field(
-                        "nodes",
-                        "a fleet needs at least one node",
-                    ));
-                }
-                if job.budget < 4 {
-                    return Err(ProtocolError::bad_field(
-                        "budget",
-                        "the adaptive driver needs at least four evaluations",
-                    ));
-                }
-                Ok(Request::Pareto(job))
-            }
-            "stats" => Ok(Request::Stats),
-            "ping" => Ok(Request::Ping),
-            "cancel" => Ok(Request::Cancel {
-                job: doc
-                    .get("job")
-                    .ok_or_else(|| ProtocolError::missing_field("job"))?
-                    .as_u64()
-                    .ok_or_else(|| ProtocolError::bad_field("job", "expected a job number"))?,
-            }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtocolError::new(
-                "unknown_type",
-                format!("unknown request type {other:?}"),
-            )),
+            .ok_or_else(|| ProtocolError::bad_field("type", "expected a string"))?;
+        Fields {
+            doc: &doc,
+            text: false,
         }
+        .request(kind)
+    }
+
+    /// Builds a request of type `kind` (`run`, `simulate`, …, `cancel`)
+    /// from command-line options: `--name value` pairs and bare
+    /// `--flag`s, with the dashes of a name read as the wire's
+    /// underscores (`--fault-seed 3` sets `fault_seed`). Values are read
+    /// by the same field reader as [`Request::parse`], parsed from text
+    /// by each field's type; a bare flag sets a boolean field. Names no
+    /// job field carries (front-end options such as `--json`) are
+    /// ignored, as unknown wire fields are.
+    ///
+    /// # Errors
+    ///
+    /// The [`ProtocolError`] `parse` gives the equivalent wire request
+    /// (it names the wire field: `fault_rate` for `--fault-rate`).
+    pub fn from_options<'a>(
+        kind: &str,
+        pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+        flags: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Request, ProtocolError> {
+        let wire = |name: &str| name.replace('-', "_");
+        let members = pairs
+            .into_iter()
+            .map(|(name, value)| (wire(name), Json::Str(value.to_owned())))
+            .chain(flags.into_iter().map(|name| (wire(name), Json::Bool(true))))
+            .collect();
+        Fields {
+            doc: &Json::Obj(members),
+            text: true,
+        }
+        .request(kind)
     }
 
     /// Serialises the request as one frame (no trailing newline).
@@ -914,88 +920,16 @@ impl Request {
     pub fn to_json(&self) -> String {
         let mut m = Members::new();
         match self {
-            Request::Run(j) => {
-                m.str_("type", "run");
-                m.opt_str("id", j.id.as_deref());
-                m.u64_("seed", j.seed);
-                m.u64_("runs", j.runs);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.str_("engine", j.engine.name());
-                m.u64_("fault_seed", j.fault_seed);
-                m.f64_("fault_rate", j.fault_rate);
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
-            Request::Simulate(j) => {
-                m.str_("type", "simulate");
-                m.opt_str("id", j.id.as_deref());
-                m.f64_("clock", j.clock);
-                m.f64_("watchdog", j.watchdog);
-                m.f64_("interval", j.interval);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.str_("engine", j.engine.name());
-                m.u64_("fault_seed", j.fault_seed);
-                m.f64_("fault_rate", j.fault_rate);
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
-            Request::Faults(j) => {
-                m.str_("type", "faults");
-                m.opt_str("id", j.id.as_deref());
-                m.f64_("clock", j.clock);
-                m.f64_("watchdog", j.watchdog);
-                m.f64_("interval", j.interval);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.u64_("fault_seed", j.fault_seed);
-                m.f64_("fault_rate", j.fault_rate);
-                m.u64_("seeds", j.seeds);
-                m.str_("engine", j.engine.name());
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
-            Request::Network(j) => {
-                m.str_("type", "network");
-                m.opt_str("id", j.id.as_deref());
-                m.u64_("nodes", j.nodes);
-                m.u64_("fleet_seed", j.fleet_seed);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.f64_("freq_spread", j.freq_spread);
-                m.f64_("phase_spread", j.phase_spread);
-                m.bool_("ideal", j.ideal);
-                m.bool_("dse", j.dse);
-                m.u64_("seed", j.seed);
-                m.u64_("runs", j.runs);
-                m.f64_("clock", j.clock);
-                m.f64_("watchdog", j.watchdog);
-                m.f64_("interval", j.interval);
-                m.str_("engine", j.engine.name());
-                m.u64_("fault_seed", j.fault_seed);
-                m.f64_("fault_rate", j.fault_rate);
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
-            Request::Pareto(j) => {
-                m.str_("type", "pareto");
-                m.opt_str("id", j.id.as_deref());
-                m.bool_("fleet", j.fleet);
-                m.u64_("nodes", j.nodes);
-                m.u64_("fleet_seed", j.fleet_seed);
-                m.f64_("f0", j.f0);
-                m.f64_("horizon", j.horizon);
-                m.opt_str("objectives", j.objectives.as_deref());
-                m.bool_("adaptive", j.adaptive);
-                m.u64_("budget", j.budget);
-                m.u64_("seed", j.seed);
-                m.u64_("runs", j.runs);
-                m.str_("engine", j.engine.name());
-                m.bool_("timer_space", j.timer_space);
-                m.opt_u64("timeout_ms", j.timeout_ms);
-            }
+            Request::Run(j) => m.job("run", j),
+            Request::Simulate(j) => m.job("simulate", j),
+            Request::Faults(j) => m.job("faults", j),
+            Request::Network(j) => m.job("network", j),
+            Request::Pareto(j) => m.job("pareto", j),
             Request::Stats => m.str_("type", "stats"),
             Request::Ping => m.str_("type", "ping"),
             Request::Cancel { job } => {
                 m.str_("type", "cancel");
-                m.u64_("job", *job);
+                m.raw("job", job);
             }
             Request::Shutdown => m.str_("type", "shutdown"),
         }
@@ -1015,42 +949,31 @@ impl Members {
         }
     }
 
-    fn sep(&mut self) {
+    /// One member whose value is written as `value` displays.
+    fn raw(&mut self, key: &str, value: impl fmt::Display) {
         if self.out.len() > 1 {
             self.out.push(',');
         }
+        self.out.push_str(&format!("\"{key}\":{value}"));
     }
 
     fn str_(&mut self, key: &str, value: &str) {
-        self.sep();
-        self.out
-            .push_str(&format!("\"{key}\":{}", json_string(value)));
+        self.raw(key, json_string(value));
     }
 
-    fn u64_(&mut self, key: &str, value: u64) {
-        self.sep();
-        self.out.push_str(&format!("\"{key}\":{value}"));
-    }
-
-    fn f64_(&mut self, key: &str, value: f64) {
-        self.sep();
-        self.out.push_str(&format!("\"{key}\":{value}"));
-    }
-
-    fn bool_(&mut self, key: &str, value: bool) {
-        self.sep();
-        self.out.push_str(&format!("\"{key}\":{value}"));
-    }
-
-    fn opt_str(&mut self, key: &str, value: Option<&str>) {
-        if let Some(v) = value {
-            self.str_(key, v);
-        }
-    }
-
-    fn opt_u64(&mut self, key: &str, value: Option<u64>) {
-        if let Some(v) = value {
-            self.u64_(key, v);
+    fn job<J: JobSpec>(&mut self, kind: &str, job: &J) {
+        self.str_("type", kind);
+        let mut job = job.clone();
+        for (name, slot) in job.fields() {
+            match slot {
+                Slot::U64(v) => self.raw(name, v),
+                Slot::F64(v) | Slot::Rate(v) | Slot::Step(v) => self.raw(name, v),
+                Slot::Bool(v) => self.raw(name, v),
+                Slot::OptU64(v) => v.iter().for_each(|v| self.raw(name, v)),
+                Slot::OptF64(v) => v.iter().for_each(|v| self.raw(name, v)),
+                Slot::OptStr(v) => v.iter().for_each(|v| self.str_(name, v)),
+                Slot::Engine(v) => self.str_(name, v.name()),
+            }
         }
     }
 
@@ -1060,6 +983,96 @@ impl Members {
     }
 }
 
+/// A request's fields: a wire document, or command-line options whose
+/// values are text. Absent and `null` fields keep the job's default.
+struct Fields<'a> {
+    doc: &'a Json,
+    text: bool,
+}
+
+impl Fields<'_> {
+    fn request(&self, kind: &str) -> Result<Request, ProtocolError> {
+        match kind {
+            "run" => self.job().map(Request::Run),
+            "simulate" => self.job().map(Request::Simulate),
+            "faults" => self.job().map(Request::Faults),
+            "network" => self.job().map(Request::Network),
+            "pareto" => self.job().map(Request::Pareto),
+            "stats" => Ok(Request::Stats),
+            "ping" => Ok(Request::Ping),
+            "cancel" => Ok(Request::Cancel {
+                job: self
+                    .get("job")
+                    .ok_or_else(|| ProtocolError::missing_field("job"))?
+                    .as_u64()
+                    .ok_or_else(|| ProtocolError::bad_field("job", "expected a job number"))?,
+            }),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(ProtocolError::new(
+                "unknown_type",
+                format!("unknown request type {other:?}"),
+            )),
+        }
+    }
+
+    /// The field's value, `None` when absent or `null`. Command-line
+    /// text reads as the JSON scalar it spells (`3`, `0.5`, `true`);
+    /// the string fields take their raw value instead.
+    fn get(&self, field: &str) -> Option<Json> {
+        match self.doc.get(field)? {
+            Json::Null => None,
+            Json::Str(text) if self.text => {
+                Some(parse_json(text).unwrap_or_else(|_| Json::Str(text.clone())))
+            }
+            value => Some(value.clone()),
+        }
+    }
+
+    /// Reads one job: its defaults, overwritten field by field, then
+    /// checked.
+    fn job<J: JobSpec>(&self) -> Result<J, ProtocolError> {
+        let mut job = J::default();
+        for (name, slot) in job.fields() {
+            let Some(value) = self.get(name) else {
+                continue;
+            };
+            let raw = self.doc.get(name).and_then(Json::as_str);
+            let bad = |expected: &str| ProtocolError::bad_field(name, expected);
+            let integer = || {
+                value
+                    .as_u64()
+                    .ok_or_else(|| bad("expected a non-negative integer"))
+            };
+            let number = || value.as_f64().ok_or_else(|| bad("expected a number"));
+            let string = || raw.ok_or_else(|| bad("expected a string"));
+            match slot {
+                Slot::U64(x) => *x = integer()?,
+                Slot::OptU64(x) => *x = Some(integer()?),
+                Slot::F64(x) => *x = number()?,
+                Slot::OptF64(x) => *x = Some(number()?),
+                Slot::Rate(x) => match number()? {
+                    rate if (0.0..=1.0).contains(&rate) => *x = rate,
+                    _ => return Err(bad("expected a rate in [0, 1]")),
+                },
+                Slot::Step(x) => match number()? {
+                    dt if dt >= 0.0 => *x = dt,
+                    _ => return Err(bad("expected a step >= 0 (0 keeps the engine's own)")),
+                },
+                Slot::Bool(x) => *x = value.as_bool().ok_or_else(|| bad("expected a boolean"))?,
+                Slot::OptStr(x) => *x = Some(string()?.to_owned()),
+                Slot::Engine(x) => *x = string()?.parse().map_err(|e| bad(&format!("{e}")))?,
+            }
+        }
+        job.check()?;
+        Ok(job)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Frames (server → client)
+// ---------------------------------------------------------------------------
+
+/// A frame's optional string member.
 fn opt_str(doc: &Json, field: &str) -> Result<Option<String>, ProtocolError> {
     match doc.get(field) {
         None | Some(Json::Null) => Ok(None),
@@ -1069,64 +1082,6 @@ fn opt_str(doc: &Json, field: &str) -> Result<Option<String>, ProtocolError> {
             .ok_or_else(|| ProtocolError::bad_field(field, "expected a string")),
     }
 }
-
-fn opt_u64(doc: &Json, field: &str) -> Result<Option<u64>, ProtocolError> {
-    match doc.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::bad_field(field, "expected a non-negative integer")),
-    }
-}
-
-fn u64_or(doc: &Json, field: &str, default: u64) -> Result<u64, ProtocolError> {
-    Ok(opt_u64(doc, field)?.unwrap_or(default))
-}
-
-fn f64_or(doc: &Json, field: &str, default: f64) -> Result<f64, ProtocolError> {
-    match doc.get(field) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| ProtocolError::bad_field(field, "expected a number")),
-    }
-}
-
-fn rate_or(doc: &Json, field: &str, default: f64) -> Result<f64, ProtocolError> {
-    let rate = f64_or(doc, field, default)?;
-    if (0.0..=1.0).contains(&rate) {
-        Ok(rate)
-    } else {
-        Err(ProtocolError::bad_field(field, "expected a rate in [0, 1]"))
-    }
-}
-
-fn bool_or(doc: &Json, field: &str, default: bool) -> Result<bool, ProtocolError> {
-    match doc.get(field) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| ProtocolError::bad_field(field, "expected a boolean")),
-    }
-}
-
-fn engine_or(doc: &Json) -> Result<EngineKind, ProtocolError> {
-    match doc.get("engine") {
-        None | Some(Json::Null) => Ok(EngineKind::Envelope),
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| ProtocolError::bad_field("engine", "expected a string"))?;
-            name.parse()
-                .map_err(|e| ProtocolError::bad_field("engine", e))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frames (server → client)
-// ---------------------------------------------------------------------------
 
 fn id_member(id: Option<&str>) -> String {
     match id {

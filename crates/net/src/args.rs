@@ -2,6 +2,12 @@
 //! `wsn_dse` and `wsn_client` binaries. A token is a value when it
 //! follows a `--key` and does not itself start with `--`; everything
 //! else must be a flag. No external dependencies, by design.
+//!
+//! [`Args::request`] is the one argv front end of the job spec: both
+//! binaries turn their options into a [`Request`] through it, and it
+//! reads them with the wire protocol's own field reader.
+
+use wsn_dse::protocol::{ProtocolError, Request};
 
 /// Parsed arguments: `--key value` pairs plus bare `--flag`s.
 pub struct Args {
@@ -76,6 +82,22 @@ impl Args {
     pub fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// The request of type `command` these options describe (see
+    /// [`Request::from_options`]): `--fault-seed 3` sets the job's
+    /// `fault_seed`, a bare `--dse` sets `dse`, and options no job field
+    /// carries are left to the caller.
+    ///
+    /// # Errors
+    ///
+    /// An unknown command (`unknown_type`) or a bad option value.
+    pub fn request(&self, command: &str) -> Result<Request, ProtocolError> {
+        Request::from_options(
+            command,
+            self.pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+            self.flags.iter().map(String::as_str),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -94,6 +116,110 @@ mod tests {
         assert_eq!(args.get_f64("rate", 0.0).unwrap(), 0.25);
         assert!(args.has_flag("json"));
         assert!(!args.has_flag("trace"));
+    }
+
+    /// Every field of every job type set away from its default, as
+    /// `name=value` with the wire's names and JSON values.
+    const FULL: [(&str, &str); 5] = [
+        (
+            "run",
+            "id=\"a\" seed=3 runs=12 f0=80 horizon=900 engine=\"full\" fault_seed=4 \
+             fault_rate=0.25 timeout_ms=500 dt=0.0002",
+        ),
+        (
+            "simulate",
+            "id=\"7\" clock=8e6 watchdog=60 interval=0.005 f0=70 horizon=600 engine=\"full\" \
+             fault_seed=2 fault_rate=0.1 timeout_ms=9 dt=0.001 trace=true",
+        ),
+        (
+            "faults",
+            "id=\"f\" clock=1e6 watchdog=30 interval=2 f0=72 horizon=300 fault_seed=5 \
+             fault_rate=0.3 seeds=3 engine=\"full\" timeout_ms=1 dt=0.004",
+        ),
+        (
+            "network",
+            "id=\"n\" nodes=4 fleet_seed=5 f0=74 horizon=600 freq_spread=1.5 phase_spread=12 \
+             ideal=true slot=0.5 interference=20 delivery=40 ring_radius=4 grid_pitch=7 \
+             dse=true seed=9 runs=11 clock=2e6 watchdog=100 interval=1 engine=\"full\" \
+             fault_seed=6 fault_rate=0.05 timeout_ms=70 dt=0.003",
+        ),
+        (
+            "pareto",
+            "id=\"p\" fleet=true nodes=3 fleet_seed=8 f0=76 horizon=900 \
+             objectives=\"goodput_per_hour\" adaptive=true budget=14 seed=2 runs=13 \
+             engine=\"full\" timer_space=true timeout_ms=60 freq_spread=1.5 phase_spread=12 \
+             ideal=true slot=0.5 interference=20 delivery=40 ring_radius=4 grid_pitch=7 \
+             fault_seed=1 fault_rate=0.02 dt=0.001 batch=4 front_cap=6 explore=0.75",
+        ),
+    ];
+
+    /// A row as command-line options (`--fault-rate 0.25`, a bare flag
+    /// for `true`) and as a wire document.
+    fn both_forms(kind: &str, row: &str) -> (Vec<String>, String) {
+        let mut argv = Vec::new();
+        let mut wire = format!("{{\"type\":\"{kind}\"");
+        for (name, value) in row.split_whitespace().filter_map(|m| m.split_once('=')) {
+            argv.push(format!("--{}", name.replace('_', "-")));
+            if value != "true" {
+                argv.push(value.trim_matches('"').to_owned());
+            }
+            wire.push_str(&format!(",\"{name}\":{value}"));
+        }
+        (argv, wire + "}")
+    }
+
+    #[test]
+    fn options_and_wire_documents_read_as_the_same_request() {
+        let defaults = FULL.map(|(kind, _)| (kind, ""));
+        for (kind, row) in defaults.into_iter().chain(FULL) {
+            let (argv, wire) = both_forms(kind, row);
+            let from_argv = Args::parse(&argv).unwrap().request(kind).unwrap();
+            assert_eq!(from_argv, Request::parse(&wire).unwrap(), "{wire}");
+        }
+    }
+
+    #[test]
+    fn the_full_rows_set_every_field_of_their_job() {
+        let members = |request: Request| match wsn_dse::protocol::parse_json(&request.to_json()) {
+            Ok(wsn_dse::protocol::Json::Obj(members)) => members,
+            other => panic!("not an object: {other:?}"),
+        };
+        for (kind, row) in FULL {
+            let full = members(Request::parse(&both_forms(kind, row).1).unwrap());
+            let default = members(of(&[]).request(kind).unwrap());
+            // Optional fields are absent by default; every field of the
+            // full row is present and differs from its default.
+            assert!(full.len() > default.len(), "{kind}");
+            for (name, value) in &full[1..] {
+                let default_value = default.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+                assert_ne!(
+                    default_value,
+                    Some(value),
+                    "{kind}: {name} left at its default"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bad_option_values_are_the_wire_errors() {
+        for (kind, argv, field) in [
+            ("run", "--seed x", "seed"),
+            ("simulate", "--fault-rate 2", "fault_rate"),
+            ("faults", "--fault-rate 0", "fault_rate"),
+            ("network", "--nodes 0", "nodes"),
+            ("network", "--slot 0", "slot"),
+            ("pareto", "--dt -1", "dt"),
+        ] {
+            let argv: Vec<String> = argv.split_whitespace().map(str::to_owned).collect();
+            let err = Args::parse(&argv).unwrap().request(kind).unwrap_err();
+            assert_eq!(err.code, "bad_field", "{kind} {argv:?}");
+            assert!(err.message.contains(field), "{kind} {argv:?}: {err}");
+        }
+        assert_eq!(
+            of(&[]).request("frobnicate").unwrap_err().code,
+            "unknown_type"
+        );
     }
 
     #[test]

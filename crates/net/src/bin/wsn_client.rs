@@ -1,13 +1,16 @@
 //! `wsn_client` — scripting and test client for the `wsn-serve`
 //! DSE-as-a-service server.
 //!
-//! Job commands (`run`, `simulate`, `faults`, `network`, `pareto`)
-//! mirror the
-//! `wsn_dse` CLI's options, submit one job over the newline-delimited
-//! JSON protocol and print the job's **report document byte-for-byte**
-//! on stdout (framing stripped), so `wsn_client run ... > a.json` can
-//! be `cmp`'d against `wsn_dse run --json > b.json`. Failures print the
-//! server's structured message on stderr and exit non-zero.
+//! Job commands (`run`, `simulate`, `faults`, `network`, `pareto`) take
+//! the `wsn_dse` job commands' options — the same names, read by the
+//! same front end ([`wsn_net::args::Args::request`]) into the same
+//! request — submit one job over the newline-delimited JSON protocol
+//! and print the job's **report document byte-for-byte** on stdout
+//! (framing stripped), so `wsn_client run ... > a.json` can be `cmp`'d
+//! against `wsn_dse run --json > b.json`. Failures print the server's
+//! structured message on stderr and exit non-zero. `--id TAG` tags the
+//! job and `--timeout-ms N` overrides the server's per-evaluation
+//! budget for it.
 //!
 //! Control commands (`stats`, `ping`, `cancel --job N`, `shutdown`)
 //! print the server's reply frame verbatim.
@@ -24,31 +27,15 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use wsn_dse::protocol::{FaultsJob, Frame, NetworkJob, ParetoJob, Request, RunJob, SimulateJob};
+use wsn_dse::protocol::{Frame, Request};
 use wsn_net::args::Args;
-use wsn_node::EngineKind;
 
 fn usage() -> &'static str {
     "usage: wsn_client --addr HOST:PORT <command> [options]\n\
      \n\
-     run       [--id TAG] [--seed N] [--runs N] [--f0 HZ] [--horizon S]\n\
-               [--engine envelope|full] [--fault-seed N] [--fault-rate R]\n\
-               [--timeout-ms N] [--frames]\n\
-     simulate  [--id TAG] [--clock HZ] [--watchdog S] [--interval S] [--f0 HZ]\n\
-               [--horizon S] [--engine E] [--fault-seed N] [--fault-rate R]\n\
-               [--timeout-ms N] [--frames]\n\
-     faults    [--id TAG] [--clock HZ] [--watchdog S] [--interval S] [--f0 HZ]\n\
-               [--horizon S] [--fault-seed N] [--fault-rate R] [--seeds N]\n\
-               [--engine E] [--timeout-ms N] [--frames]\n\
-     network   [--id TAG] [--nodes N] [--fleet-seed N] [--f0 HZ] [--horizon S]\n\
-               [--freq-spread HZ] [--phase-spread S] [--ideal] [--dse]\n\
-               [--seed N] [--runs N] [--clock HZ] [--watchdog S] [--interval S]\n\
-               [--engine E] [--fault-seed N] [--fault-rate R] [--timeout-ms N]\n\
-               [--frames]\n\
-     pareto    [--id TAG] [--fleet] [--nodes N] [--fleet-seed N] [--f0 HZ]\n\
-               [--horizon S] [--objectives LIST] [--adaptive] [--budget N]\n\
-               [--seed N] [--runs N] [--engine E] [--timer-space]\n\
-               [--timeout-ms N] [--frames]\n\
+     run | simulate | faults | network | pareto\n\
+               [the job options of `wsn_dse <command>`, e.g. --seed N --horizon S]\n\
+               [--id TAG] [--timeout-ms N] [--frames]\n\
      stats | ping | shutdown\n\
      cancel    --job N\n\
      batch     (raw request lines on stdin; all frames to stdout)\n\
@@ -59,113 +46,6 @@ fn usage() -> &'static str {
      shared warm cache)."
 }
 
-fn engine_from(args: &Args) -> Result<EngineKind, String> {
-    match args.get("engine") {
-        Some(name) => name.parse().map_err(|e| format!("--engine: {e}")),
-        None => Ok(EngineKind::Envelope),
-    }
-}
-
-fn timeout_from(args: &Args) -> Result<Option<u64>, String> {
-    match args.get("timeout-ms") {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("--timeout-ms: expected milliseconds, got {v}")),
-    }
-}
-
-fn build_request(command: &str, args: &Args) -> Result<Request, String> {
-    let id = args.get("id").map(str::to_owned);
-    match command {
-        "run" => Ok(Request::Run(RunJob {
-            id,
-            seed: args.get_u64("seed", 12)?,
-            runs: args.get_u64("runs", 10)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            engine: engine_from(args)?,
-            fault_seed: args.get_u64("fault-seed", 0)?,
-            fault_rate: args.get_f64("fault-rate", 0.0)?,
-            timeout_ms: timeout_from(args)?,
-        })),
-        "simulate" => Ok(Request::Simulate(SimulateJob {
-            id,
-            clock: args.get_f64("clock", 4e6)?,
-            watchdog: args.get_f64("watchdog", 320.0)?,
-            interval: args.get_f64("interval", 5.0)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            engine: engine_from(args)?,
-            fault_seed: args.get_u64("fault-seed", 0)?,
-            fault_rate: args.get_f64("fault-rate", 0.0)?,
-            timeout_ms: timeout_from(args)?,
-        })),
-        "faults" => Ok(Request::Faults(FaultsJob {
-            id,
-            clock: args.get_f64("clock", 4e6)?,
-            watchdog: args.get_f64("watchdog", 320.0)?,
-            interval: args.get_f64("interval", 5.0)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            fault_seed: args.get_u64("fault-seed", 0)?,
-            fault_rate: args.get_f64("fault-rate", 0.1)?,
-            seeds: args.get_u64("seeds", 8)?,
-            engine: engine_from(args)?,
-            timeout_ms: timeout_from(args)?,
-        })),
-        "network" => Ok(Request::Network(NetworkJob {
-            id,
-            nodes: args.get_u64("nodes", 16)?,
-            fleet_seed: args.get_u64("fleet-seed", 99)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            freq_spread: args.get_f64("freq-spread", 2.0)?,
-            phase_spread: args.get_f64("phase-spread", 30.0)?,
-            ideal: args.has_flag("ideal"),
-            dse: args.has_flag("dse"),
-            seed: args.get_u64("seed", 12)?,
-            runs: args.get_u64("runs", 10)?,
-            clock: args.get_f64("clock", 4e6)?,
-            watchdog: args.get_f64("watchdog", 320.0)?,
-            interval: args.get_f64("interval", 5.0)?,
-            engine: engine_from(args)?,
-            fault_seed: args.get_u64("fault-seed", 0)?,
-            fault_rate: args.get_f64("fault-rate", 0.0)?,
-            timeout_ms: timeout_from(args)?,
-        })),
-        "pareto" => Ok(Request::Pareto(ParetoJob {
-            id,
-            fleet: args.has_flag("fleet"),
-            nodes: args.get_u64("nodes", 5)?,
-            fleet_seed: args.get_u64("fleet-seed", 99)?,
-            f0: args.get_f64("f0", 75.0)?,
-            horizon: args.get_f64("horizon", 3600.0)?,
-            objectives: args.get("objectives").map(str::to_owned),
-            adaptive: args.has_flag("adaptive"),
-            budget: args.get_u64("budget", 18)?,
-            seed: args.get_u64("seed", 12)?,
-            runs: args.get_u64("runs", 10)?,
-            engine: engine_from(args)?,
-            timer_space: args.has_flag("timer-space"),
-            timeout_ms: timeout_from(args)?,
-        })),
-        "stats" => Ok(Request::Stats),
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        "cancel" => match args.get("job") {
-            Some(v) => Ok(Request::Cancel {
-                job: v
-                    .parse()
-                    .map_err(|_| format!("--job: expected a job number, got {v}"))?,
-            }),
-            None => Err("cancel: --job N is required".to_owned()),
-        },
-        other => Err(format!("unknown command {other}\n{}", usage())),
-    }
-}
-
 fn connect(args: &Args) -> Result<TcpStream, String> {
     let addr = args
         .get("addr")
@@ -173,10 +53,11 @@ fn connect(args: &Args) -> Result<TcpStream, String> {
     TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))
 }
 
+/// Sends `line` and its newline in one write (two would let Nagle's
+/// algorithm hold the newline back for the server's delayed ACK).
 fn send_line(stream: &mut TcpStream, line: &str) -> Result<(), String> {
     stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
+        .write_all(format!("{line}\n").as_bytes())
         .and_then(|()| stream.flush())
         .map_err(|e| format!("cannot send request: {e}"))
 }
@@ -327,10 +208,13 @@ fn main() -> ExitCode {
     let result = if command == "batch" {
         run_batch(&args)
     } else {
-        match build_request(&command, &args) {
+        match args.request(&command) {
             Ok(request) if request.is_job() => run_job(&request, &args),
             Ok(request) => run_control(&request, &args),
-            Err(e) => Err(e),
+            Err(e) if e.code == "unknown_type" => {
+                Err(format!("unknown command {command}\n{}", usage()))
+            }
+            Err(e) => Err(e.to_string()),
         }
     };
     match result {

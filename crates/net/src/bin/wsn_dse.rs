@@ -1,309 +1,234 @@
 //! `wsn_dse` — command-line front end for the reproduction.
 //!
 //! ```text
-//! wsn_dse run       [--seed N] [--runs N] [--f0 HZ] [--horizon S] [--jobs N] [--engine E]
-//!                   [--linalg dyn|smat] [--json]
-//! wsn_dse simulate  --clock HZ --watchdog S --interval S [--f0 HZ] [--horizon S] [--engine E]
+//! wsn_dse run       [--seed N] [--runs N] [--f0 HZ] [--horizon S] [--csv DIR] [--json]
+//! wsn_dse simulate  [--clock HZ --watchdog S --interval S] [--f0 HZ] [--horizon S]
 //!                   [--trace] [--json]
-//! wsn_dse sweep     --factor {clock|watchdog|interval} [--samples N] [--validate] [--jobs N]
-//! wsn_dse refine    [--seed N] [--shrink F] [--runs N] [--jobs N]
+//! wsn_dse sweep     --factor {clock|watchdog|interval} [--samples N] [--validate]
+//! wsn_dse refine    [--seed N] [--shrink F] [--runs N]
 //! wsn_dse faults    [--clock HZ --watchdog S --interval S] [--fault-seed N] [--fault-rate R]
-//!                   [--seeds N] [--f0 HZ] [--horizon S] [--jobs N] [--engine E] [--json]
+//!                   [--seeds N] [--f0 HZ] [--horizon S] [--json]
 //! wsn_dse network   [--nodes N] [--fleet-seed N] [--clock HZ --watchdog S --interval S]
 //!                   [--freq-spread HZ] [--phase-spread S] [--slot S] [--interference M]
 //!                   [--delivery M] [--ring-radius M | --grid-pitch M] [--ideal]
-//!                   [--arbitration indexed|naive]
-//!                   [--dse] [--seed N] [--runs N] [--jobs N] [--engine E]
-//!                   [--linalg dyn|smat] [--json]
+//!                   [--dse] [--seed N] [--runs N] [--json]
 //! wsn_dse pareto    [--fleet [--nodes N] <network options>] [--objectives LIST]
 //!                   [--adaptive] [--budget N] [--batch N] [--explore A] [--front-cap N]
-//!                   [--seed N] [--runs N] [--timer-space] [--f0 HZ] [--horizon S]
-//!                   [--jobs N] [--engine E] [--linalg dyn|smat] [--json]
+//!                   [--seed N] [--runs N] [--timer-space] [--f0 HZ] [--horizon S] [--json]
+//! wsn_dse chaos     [--seed N] [--chaos-rate R] [--points N] [--f0 HZ] [--horizon S] [--json]
+//! wsn_dse serve     [--addr HOST:PORT] [--workers N] [--cache-dir DIR] [--addr-file FILE]
+//!                   [--chaos-rate R] [--chaos-seed N]
+//!
+//! every job command: [--engine E] [--dt S] [--fault-seed N --fault-rate R]
+//! how jobs run:      [--jobs N] [--cache-dir DIR] [--eval-timeout S] [--eval-retries N]
+//!                    [--linalg dyn|smat] [--arbitration indexed|naive]
 //! ```
 //!
-//! `--jobs N` caps the simulation worker threads (0 or omitted: all
-//! cores; 1: sequential). Reports are bit-identical at any job count.
+//! The five job commands — `run`, `simulate`, `faults`, `network` and
+//! `pareto` — are the job types of the serving protocol
+//! ([`wsn_dse::protocol`]). Their options are read into a
+//! [`wsn_dse::protocol::Request`] by the protocol's own field reader
+//! (`--fault-seed 3` is the wire's `"fault_seed":3`, with the wire's
+//! defaults and checks) and run by the executor the server runs,
+//! [`wsn_net::execute`], so `wsn_client` against `wsn_dse serve` prints
+//! the same report as the job command's `--json`. The options under
+//! "how jobs run" build the [`wsn_net::ExecContext`]; `--json`, `--csv`
+//! and the `--trace` CSV are output, printed from the returned report.
+//! `sweep`, `refine`, `chaos` and `serve` are CLI-only.
 //!
-//! `--engine envelope|full` selects the simulation engine (default:
-//! `envelope`, the accelerated energy-balance model; `full` is the
-//! fine-timestep mixed-signal co-simulation — orders of magnitude
-//! slower, so pair it with a short `--horizon`). `--dt S` overrides the
-//! full engine's analogue step.
+//! `run` executes the paper flow; `simulate` evaluates one
+//! configuration (`--json` includes the per-transmission timestamps);
+//! `faults` evaluates one under a seeded fault-injection ensemble;
+//! `network` evaluates a fleet on a shared radio channel (with `--dse`,
+//! it optimises the fleet's sink goodput); `pareto` runs the
+//! multi-objective Pareto DSE, single-node or `--fleet`, with
+//! `--adaptive` sequential DOE, an `--objectives` axis subset and the
+//! `--timer-space` factor. `sweep` prints a Fig. 4 style panel, `refine`
+//! runs the two-phase sequential flow, and `chaos` storms `--points`
+//! design points through a chaos-injected envelope engine backed by a
+//! surrogate tier, exiting 0 when every failure is isolated or absorbed.
 //!
-//! `run` executes the full paper flow (`--json` emits the report as one
-//! machine-readable line); `simulate` evaluates one configuration
-//! (`--json` includes the per-transmission timestamps); `sweep` prints a
-//! Fig. 4 style panel; `refine` runs the two-phase sequential flow;
-//! `faults` evaluates one configuration under a seeded fault-injection
-//! ensemble and reports the throughput distribution and fault counters;
-//! `network` evaluates a fleet of nodes on a shared radio channel (and,
-//! with `--dse`, optimises the fleet's sink goodput with the RSM + SA/GA
-//! flow); `pareto` runs the multi-objective Pareto DSE (transmissions/h
-//! vs final voltage vs energy on a single node, or — with `--fleet` —
-//! goodput vs worst-node energy margin vs collision rate vs starvation),
-//! with `--adaptive` swapping the fixed D-optimal plan for the
-//! sequential acquisition driver, `--objectives LIST` selecting an axis
-//! subset by name, and `--timer-space` widening the search with the
-//! optional timer-quantum factor.
-//! `--arbitration indexed|naive` selects the channel-arbitration
-//! path (default `indexed`, the spatial-grid streaming resolver; `naive`
-//! is the reference pairwise sweep) — reports are bit-identical either
-//! way, gated by `scripts/verify.sh`.
+//! `--engine envelope|full` selects the engine (`full`, the mixed-signal
+//! co-simulation, is orders of magnitude slower: pair it with a short
+//! `--horizon`); `--dt S` sets its analogue step. `--fault-seed N
+//! --fault-rate R` fail each radio transmission and each watchdog wake
+//! with probability `R` and drop the vibration out `20 R` times per hour
+//! for 60 s, on a schedule that is a pure function of the seed.
 //!
-//! `--linalg dyn|smat` (accepted by `run`, `sweep`, `refine` and
-//! `network --dse`) selects the linear-algebra backend for design
-//! construction, surface fitting and surface scoring (default `smat`,
-//! the allocation-free stack backend; `dyn` is the heap reference).
-//! Like `--arbitration`, it is a solver choice, not model physics:
-//! reports are bit-identical either way, gated by `scripts/verify.sh`.
-//!
-//! `--fault-seed N --fault-rate R` (accepted by `run`, `simulate`,
-//! `faults` and `network`) inject deterministic faults: each radio
-//! transmission fails with probability `R`, each watchdog wake is missed
-//! with probability `R`, and the vibration source drops out `20 R` times
-//! per hour for 60 s. The schedule is a pure function of the seed, so
-//! reports stay bit-identical at any `--jobs`.
-//!
-//! `--cache-dir DIR` (accepted by `run`, `sweep`, `refine`, `faults` and
-//! `network --dse`) attaches the crash-safe persistent evaluation cache:
-//! verified responses from earlier sessions are adopted, fresh ones are
-//! flushed atomically after every batch, and corrupt records are
-//! quarantined and recomputed. Cached values are bit-identical to fresh
-//! ones, so a warm run's report matches a cold run's (gated by
-//! `scripts/verify.sh`). `--eval-timeout S` arms a per-evaluation
-//! wall-clock budget (over-budget points fail cleanly, they are never
-//! wrong) and `--eval-retries N` allows N retries with deterministic
-//! exponential backoff and seeded jitter.
-//!
-//! `chaos` exercises the robustness machinery end to end: it calibrates
-//! a response-surface surrogate from the clean envelope engine, wraps
-//! the envelope engine in a seeded chaos injector (panics, delays, NaN
-//! responses, wrong-shape outcomes at `--chaos-rate`), stacks the two as
-//! an engine-degradation ladder with per-tier circuit breakers, and
-//! storms `--points` random design points through the fault-tolerant
-//! pool. The run exits 0 with every injected failure either isolated or
-//! served by the surrogate tier.
+//! `--jobs N` caps the simulation threads (0: all cores); reports are
+//! bit-identical at any count, and with either `--linalg` backend or
+//! `--arbitration` method, which are solver choices (gated by
+//! `scripts/verify.sh`). `--cache-dir DIR` attaches the crash-safe
+//! persistent evaluation cache; cached values are bit-identical to fresh
+//! ones, so a warm report matches a cold one. `--eval-timeout S` arms a
+//! per-evaluation wall-clock budget and `--eval-retries N` allows N
+//! retries with deterministic backoff.
 
+use std::fmt;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
 
-use std::sync::Arc;
-
-use doe::{DOptimal, ModelSpec};
 use harvester::VibrationProfile;
 use numkit::rng::Rng;
-use rsm::ResponseSurface;
-use wsn_dse::robustness::{evaluate_scenarios_with, fault_robustness_with};
-use wsn_dse::{
-    coded_to_config, paper_design_space, paper_design_space_with_timer, Backend, DseFlow, EvalKey,
-    RetryPolicy, SimPool, SurrogateEngine,
-};
-use wsn_net::{
-    ArbitrationMethod, FleetDseFlow, FleetObjectives, FleetSpec, FleetTopology, NetworkSim,
-    RadioChannel,
-};
-use wsn_node::{
-    ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, FaultPlan, NodeConfig, SimEngine,
-    SystemConfig,
-};
-use wsn_pareto::{MultiObjective, NodeObjectives, ParetoDseFlow};
-
+use wsn_dse::protocol::{NetworkJob, Request, RunJob};
+use wsn_dse::{coded_to_config, paper_design_space, DseFlow, EvalCache, EvalKey, SimPool};
 use wsn_net::args::Args;
+use wsn_net::exec::{self, ExecContext, JobReport};
+use wsn_node::{NodeConfig, SimEngine, SystemConfig};
 
 fn usage() -> &'static str {
     "usage: wsn_dse <run|simulate|sweep|refine|faults|network|pareto|chaos|serve> [options]\n\
      \n\
-     run       --seed N --runs N --f0 HZ --horizon S [--csv DIR] [--jobs N]\n\
-               [--linalg dyn|smat] [--json]\n\
-     simulate  --clock HZ --watchdog S --interval S [--f0 HZ] [--horizon S] [--trace] [--json]\n\
-     sweep     --factor clock|watchdog|interval [--samples N] [--validate] [--jobs N]\n\
-     refine    --seed N --shrink F --runs N [--jobs N]\n\
-     faults    --clock HZ --watchdog S --interval S --fault-seed N --fault-rate R\n\
-               [--seeds N] [--f0 HZ] [--horizon S] [--jobs N] [--json]\n\
-     network   --nodes N [--fleet-seed N] [--clock HZ --watchdog S --interval S]\n\
+     run       [--seed N] [--runs N] [--f0 HZ] [--horizon S] [--csv DIR] [--json]\n\
+     simulate  [--clock HZ --watchdog S --interval S] [--f0 HZ] [--horizon S] [--trace] [--json]\n\
+     sweep     --factor clock|watchdog|interval [--samples N] [--validate] <run options>\n\
+     refine    [--shrink F] <run options>\n\
+     faults    [--clock HZ --watchdog S --interval S] [--fault-seed N] [--fault-rate R]\n\
+               [--seeds N] [--f0 HZ] [--horizon S] [--json]\n\
+     network   [--nodes N] [--fleet-seed N] [--clock HZ --watchdog S --interval S]\n\
                [--freq-spread HZ] [--phase-spread S] [--slot S] [--interference M]\n\
                [--delivery M] [--ring-radius M | --grid-pitch M] [--ideal]\n\
-               [--arbitration indexed|naive]\n\
-               [--dse --seed N --runs N] [--jobs N] [--linalg dyn|smat] [--json]\n\
+               [--dse --seed N --runs N] [--json]\n\
      pareto    [--fleet [--nodes N] <network options>] [--objectives LIST]\n\
                [--adaptive] [--budget N] [--batch N] [--explore A] [--front-cap N]\n\
-               [--seed N] [--runs N] [--timer-space] [--f0 HZ] [--horizon S]\n\
-               [--jobs N] [--engine E] [--linalg dyn|smat] [--json]\n\
-     chaos     [--seed N] [--chaos-rate R] [--points N] [--f0 HZ] [--horizon S]\n\
-               [--eval-timeout S] [--eval-retries N] [--jobs N] [--linalg dyn|smat] [--json]\n\
-     serve     [--addr HOST:PORT] [--workers N] [--jobs N] [--cache-dir DIR]\n\
-               [--chaos-rate R] [--chaos-seed N] [--eval-timeout S] [--eval-retries N]\n\
-               [--addr-file FILE]\n\
+               [--seed N] [--runs N] [--timer-space] [--f0 HZ] [--horizon S] [--json]\n\
+     chaos     [--seed N] [--chaos-rate R] [--points N] [--f0 HZ] [--horizon S] [--json]\n\
+     serve     [--addr HOST:PORT] [--workers N] [--cache-dir DIR] [--addr-file FILE]\n\
+               [--chaos-rate R] [--chaos-seed N]\n\
      \n\
-     --engine envelope|full selects the simulation engine (all commands;\n\
+     --engine envelope|full selects the simulation engine (job commands;\n\
        default envelope; full is slow — use a short --horizon);\n\
        --dt S overrides the full engine's analogue step\n\
-     --fault-seed N --fault-rate R (run, simulate, faults, network) inject\n\
-       deterministic radio/watchdog/vibration faults at rate R\n\
-     --linalg dyn|smat (run, sweep, refine, network --dse) selects the\n\
-       linear-algebra backend (default smat); reports are bit-identical\n\
-     --cache-dir DIR (run, sweep, refine, faults, network --dse) attaches the\n\
-       crash-safe persistent evaluation cache; warm reports match cold ones\n\
+     --fault-seed N --fault-rate R (job commands) inject deterministic\n\
+       radio/watchdog/vibration faults at rate R\n\
+     job commands take the options of the serving protocol's job types, with\n\
+       the same defaults; a served report equals the --json one\n\
+     --linalg dyn|smat selects the linear-algebra backend (default smat)\n\
+       and --arbitration indexed|naive the channel arbitration (default\n\
+       indexed); reports are bit-identical either way\n\
+     --cache-dir DIR (run, sweep, refine, faults, network --dse, pareto, serve)\n\
+       attaches the crash-safe persistent evaluation cache; warm reports match cold ones\n\
      --eval-timeout S arms a per-evaluation wall-clock budget;\n\
        --eval-retries N allows N retries with deterministic backoff\n\
      --jobs 0 (default) uses all cores; results are identical at any job count"
 }
 
-/// Builds the engine selected by `--engine` (default envelope) and the
-/// optional `--dt` analogue-step override.
-fn engine_from(args: &Args) -> Result<Arc<dyn SimEngine>, String> {
-    let kind: EngineKind = match args.get("engine") {
-        Some(name) => name.parse().map_err(|e| format!("--engine: {e}"))?,
-        None => EngineKind::Envelope,
-    };
-    match args.get_f64("dt", 0.0)? {
-        dt if dt > 0.0 => Ok(kind.engine_with_dt(dt)),
-        0.0 => Ok(kind.engine()),
-        _ => Err("--dt: expected a positive step".to_owned()),
-    }
+/// The value of option `--name`, parsed, when given.
+fn option<T: FromStr>(args: &Args, name: &str) -> Result<Option<T>, String>
+where
+    T::Err: fmt::Display,
+{
+    args.get(name)
+        .map(|v| v.parse().map_err(|e| format!("--{name}: {e} (got {v})")))
+        .transpose()
 }
 
-/// Builds the fault plan selected by `--fault-seed`/`--fault-rate`
-/// (default: nominal — no faults).
-fn fault_plan_from(args: &Args) -> Result<FaultPlan, String> {
-    let seed = args.get_u64("fault-seed", 0)?;
-    let rate = args.get_f64("fault-rate", 0.0)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!(
-            "--fault-rate: expected a rate in [0, 1], got {rate}"
-        ));
-    }
-    Ok(FaultPlan::uniform(seed, rate))
-}
-
-/// Parses the `--linalg` backend selection (default: the stack backend).
-fn linalg_from(args: &Args) -> Result<Backend, String> {
-    match args.get("linalg") {
-        Some(name) => name.parse().map_err(|e| format!("--linalg: {e}")),
-        None => Ok(Backend::default()),
-    }
-}
-
-/// Parses the `--eval-timeout` per-evaluation wall-clock budget
-/// (seconds; absent: no budget).
+/// The `--eval-timeout` per-evaluation wall-clock budget, when given.
 fn eval_deadline_from(args: &Args) -> Result<Option<Duration>, String> {
-    match args.get("eval-timeout") {
-        None => Ok(None),
-        Some(v) => {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| format!("--eval-timeout: expected seconds, got {v}"))?;
-            if !(secs > 0.0 && secs.is_finite()) {
-                return Err("--eval-timeout: expected a positive number of seconds".to_owned());
+    match option::<f64>(args, "eval-timeout")? {
+        Some(secs) if !(secs > 0.0 && secs.is_finite()) => {
+            Err("--eval-timeout: expected a positive number of seconds".to_owned())
+        }
+        secs => Ok(secs.map(Duration::from_secs_f64)),
+    }
+}
+
+/// The execution context of this process: `--jobs`, `--eval-timeout`,
+/// `--eval-retries` (backoff jitter keyed by `--seed`), `--linalg`,
+/// `--arbitration` and, when `attach_cache`, the persistent cache of
+/// `--cache-dir` (an unusable directory only costs persistence).
+fn context_from(args: &Args, attach_cache: bool) -> Result<ExecContext, String> {
+    let cache = Arc::new(EvalCache::new());
+    if let (true, Some(dir)) = (attach_cache, args.get("cache-dir")) {
+        if let Err(e) = cache.persist_to(std::path::Path::new(dir)) {
+            eprintln!(
+                "warning: cannot attach eval cache at {dir}: {e}; continuing without persistence"
+            );
+        }
+    }
+    let jitter_seed = args.get_u64("seed", RunJob::default().seed)?;
+    Ok(ExecContext {
+        jobs: args.get_u64("jobs", 0)? as usize,
+        cache,
+        retry: exec::retry_policy(option(args, "eval-retries")?, jitter_seed),
+        deadline: eval_deadline_from(args)?,
+        ladder: None,
+        linalg: option(args, "linalg")?.unwrap_or_default(),
+        arbitration: option(args, "arbitration")?.unwrap_or_default(),
+    })
+}
+
+/// Runs one job command (`run`, `simulate`, `faults`, `network`,
+/// `pareto`) through the shared executor and prints its report.
+fn cmd_job(command: &str, args: &Args) -> Result<(), String> {
+    let request = match args.request(command) {
+        Ok(request) if request.is_job() => request,
+        Err(e) if e.code != "unknown_type" => return Err(e.to_string()),
+        _ => return Err(format!("unknown command {command}\n{}", usage())),
+    };
+    // A plain fleet evaluation needs every node's full timestamp trace,
+    // which only a fresh simulation produces, and a single simulation
+    // is never cached: neither attaches `--cache-dir`.
+    let uses_cache = match &request {
+        Request::Network(NetworkJob { dse: false, .. }) => {
+            if args.get("cache-dir").is_some() {
+                // One structured JSON line, so scripted callers can
+                // detect the ignored option instead of matching prose.
+                eprintln!("{}", wsn_net::serve::cache_dir_ignored_warning());
             }
-            Ok(Some(Duration::from_secs_f64(secs)))
+            false
         }
-    }
-}
-
-/// Parses the `--eval-retries` retry discipline. Absent, the default
-/// policy keeps the historical two-attempt, no-backoff behaviour
-/// bit-identically; `--eval-retries N` allows N retries after the first
-/// attempt, spaced by deterministic exponential backoff with seeded
-/// jitter (the jitter stream is keyed by `--seed` and the evaluation
-/// key, so schedules are reproducible).
-fn retry_policy_from(args: &Args) -> Result<RetryPolicy, String> {
-    match args.get("eval-retries") {
-        None => Ok(RetryPolicy::default()),
-        Some(v) => {
-            let retries: u32 = v
-                .parse()
-                .map_err(|_| format!("--eval-retries: expected a retry count, got {v}"))?;
-            Ok(RetryPolicy::attempts(retries + 1)
-                .with_backoff(Duration::from_millis(25))
-                .with_jitter(0.5, args.get_u64("seed", 12)?))
-        }
-    }
-}
-
-fn flow_from(args: &Args) -> Result<DseFlow, String> {
-    let seed = args.get_u64("seed", 12)?;
-    let runs = args.get_u64("runs", 10)? as usize;
-    let f0 = args.get_f64("f0", 75.0)?;
-    let horizon = args.get_f64("horizon", 3600.0)?;
-    let jobs = args.get_u64("jobs", 0)? as usize;
-    let template = SystemConfig::paper(NodeConfig::original())
-        .with_horizon(horizon)
-        .with_vibration(VibrationProfile::paper_profile(f0));
-    let mut flow = DseFlow::paper()
-        .with_template(template)
-        .faults(fault_plan_from(args)?)
-        .seed(seed)
-        .doe_runs(runs)
-        .jobs(jobs)
-        .linalg(linalg_from(args)?)
-        .retry_policy(retry_policy_from(args)?)
-        .eval_deadline(eval_deadline_from(args)?)
-        .with_engine(engine_from(args)?);
-    if let Some(dir) = args.get("cache-dir") {
-        flow = flow.cache_dir(dir);
-    }
-    Ok(flow)
-}
-
-fn cmd_run(args: &Args) -> Result<(), String> {
-    let flow = flow_from(args)?;
-    let report = flow.run().map_err(|e| e.to_string())?;
+        Request::Simulate(_) => false,
+        _ => true,
+    };
+    let report = exec::execute(&context_from(args, uses_cache)?, &request)?;
     if args.has_flag("json") {
         println!("{}", report.to_json());
     } else {
         println!("{report}");
     }
-    if let Some(dir) = args.get("csv") {
-        let dir = std::path::Path::new(dir);
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        let mut runs = std::fs::File::create(dir.join("runs.csv")).map_err(|e| e.to_string())?;
-        report
-            .write_runs_csv(&mut runs)
-            .map_err(|e| e.to_string())?;
-        let mut designs =
-            std::fs::File::create(dir.join("designs.csv")).map_err(|e| e.to_string())?;
-        report
-            .write_designs_csv(&mut designs)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "wrote {}/runs.csv and {}/designs.csv",
-            dir.display(),
-            dir.display()
-        );
+    match (&request, &report) {
+        (_, JobReport::Run(report)) => {
+            if let Some(dir) = args.get("csv") {
+                let dir = std::path::Path::new(dir);
+                std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+                let mut runs =
+                    std::fs::File::create(dir.join("runs.csv")).map_err(|e| e.to_string())?;
+                report
+                    .write_runs_csv(&mut runs)
+                    .map_err(|e| e.to_string())?;
+                let mut designs =
+                    std::fs::File::create(dir.join("designs.csv")).map_err(|e| e.to_string())?;
+                report
+                    .write_designs_csv(&mut designs)
+                    .map_err(|e| e.to_string())?;
+                println!(
+                    "wrote {}/runs.csv and {}/designs.csv",
+                    dir.display(),
+                    dir.display()
+                );
+            }
+        }
+        (Request::Simulate(job), JobReport::Simulate(out)) if job.trace => {
+            println!("time_s,voltage_v");
+            for s in &out.trace {
+                println!("{:.1},{:.5}", s.time, s.voltage);
+            }
+        }
+        _ => {}
     }
     Ok(())
 }
 
-fn cmd_simulate(args: &Args) -> Result<(), String> {
-    let clock = args.get_f64("clock", 4e6)?;
-    let watchdog = args.get_f64("watchdog", 320.0)?;
-    let interval = args.get_f64("interval", 5.0)?;
-    let f0 = args.get_f64("f0", 75.0)?;
-    let horizon = args.get_f64("horizon", 3600.0)?;
-    let node = NodeConfig::new(clock, watchdog, interval).map_err(|e| e.to_string())?;
-    let mut cfg = SystemConfig::paper(node)
-        .with_horizon(horizon)
-        .with_vibration(VibrationProfile::paper_profile(f0))
-        .with_faults(fault_plan_from(args)?);
-    if !args.has_flag("trace") {
-        cfg.trace_interval = None;
+/// The flow of the `run` job the options describe: what `sweep` and
+/// `refine` explore.
+fn flow_from(args: &Args) -> Result<DseFlow, String> {
+    match args.request("run").map_err(|e| e.to_string())? {
+        Request::Run(job) => Ok(exec::dse_flow(&context_from(args, true)?, &job)),
+        _ => unreachable!("a run request"),
     }
-    let out = engine_from(args)?
-        .simulate(&cfg)
-        .map_err(|e| e.to_string())?;
-    if args.has_flag("json") {
-        println!("{}", out.to_json());
-    } else {
-        println!("{out}");
-    }
-    if args.has_flag("trace") {
-        println!("time_s,voltage_v");
-        for s in &out.trace {
-            println!("{:.1},{:.5}", s.time, s.voltage);
-        }
-    }
-    Ok(())
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
@@ -353,295 +278,6 @@ fn cmd_refine(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Evaluates one configuration under a seeded fault-injection ensemble:
-/// a nominal baseline plus `--seeds` independent realisations of the
-/// `--fault-seed`/`--fault-rate` plan, all through one deterministic
-/// pool.
-fn cmd_faults(args: &Args) -> Result<(), String> {
-    let clock = args.get_f64("clock", 4e6)?;
-    let watchdog = args.get_f64("watchdog", 320.0)?;
-    let interval = args.get_f64("interval", 5.0)?;
-    let f0 = args.get_f64("f0", 75.0)?;
-    let horizon = args.get_f64("horizon", 3600.0)?;
-    let jobs = args.get_u64("jobs", 0)? as usize;
-    let n_seeds = args.get_u64("seeds", 8)?;
-    if n_seeds == 0 {
-        return Err("--seeds: expected at least one realisation".to_owned());
-    }
-    let plan = fault_plan_from(args)?;
-    if plan.is_none() {
-        return Err("faults: --fault-rate must be positive (try --fault-rate 0.1)".to_owned());
-    }
-
-    let node = NodeConfig::new(clock, watchdog, interval).map_err(|e| e.to_string())?;
-    let mut template = SystemConfig::paper(node)
-        .with_horizon(horizon)
-        .with_vibration(VibrationProfile::paper_profile(f0));
-    template.trace_interval = None;
-
-    let engine = engine_from(args)?;
-    let mut pool = SimPool::new(jobs);
-    pool.set_retry_policy(retry_policy_from(args)?);
-    pool.set_eval_deadline(eval_deadline_from(args)?);
-    if let Some(dir) = args.get("cache-dir") {
-        if let Err(e) = pool.cache().persist_to(std::path::Path::new(dir)) {
-            eprintln!(
-                "warning: cannot attach eval cache at {dir}: {e}; continuing without persistence"
-            );
-        }
-    }
-    let nominal = evaluate_scenarios_with(&engine, &pool, &template, node, &[template.scenario()])
-        .map_err(|e| e.to_string())?;
-    let nominal_tx = nominal.samples[0];
-
-    let seeds: Vec<u64> = (0..n_seeds).map(|i| plan.seed().wrapping_add(i)).collect();
-    let summary = fault_robustness_with(&engine, &pool, &template, node, plan, &seeds)
-        .map_err(|e| e.to_string())?;
-
-    // Fault counters from the first realisation (the ensemble memoises
-    // only the response, so one direct deterministic re-run recovers
-    // them).
-    let mut counted = template.clone().with_faults(plan.reseeded(seeds[0]));
-    counted.node = node;
-    let outcome = engine.simulate(&counted).map_err(|e| e.to_string())?;
-
-    if args.has_flag("json") {
-        let samples: Vec<String> = summary.samples.iter().map(|s| format!("{s}")).collect();
-        println!(
-            "{{\"fault_seed\":{},\"fault_rate\":{},\"realisations\":{},\
-             \"nominal_tx\":{},\
-             \"ensemble\":{{\"samples\":[{}],\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{},\
-             \"fragility\":{:.6},\"p10\":{},\"worst_case_ratio\":{:.6}}},\
-             \"counters\":{{\"tx_failures\":{},\"tx_retries\":{},\"tx_aborts\":{},\
-             \"brownouts\":{},\"watchdog_misses\":{}}}}}",
-            plan.seed(),
-            plan.tx_failure_rate(),
-            n_seeds,
-            nominal_tx,
-            samples.join(","),
-            summary.mean,
-            summary.std_dev,
-            summary.min,
-            summary.max,
-            summary.fragility(),
-            summary.percentile(10.0),
-            summary.worst_case_ratio(),
-            outcome.faults.tx_failures,
-            outcome.faults.tx_retries,
-            outcome.faults.tx_aborts,
-            outcome.faults.brownouts,
-            outcome.faults.watchdog_misses,
-        );
-    } else {
-        println!(
-            "fault injection: seed {}, rate {}, {} realisations over {horizon} s",
-            plan.seed(),
-            plan.tx_failure_rate(),
-            n_seeds
-        );
-        println!("nominal:     {nominal_tx:.0} tx");
-        println!(
-            "ensemble:    mean {:.1}, min {:.0}, max {:.0}, σ {:.1}",
-            summary.mean, summary.min, summary.max, summary.std_dev
-        );
-        println!(
-            "tail:        p10 {:.1}, worst-case retention {:.3}, fragility {:.3}",
-            summary.percentile(10.0),
-            summary.worst_case_ratio(),
-            summary.fragility()
-        );
-        println!("counters[0]: {}", outcome.faults);
-    }
-    Ok(())
-}
-
-/// Builds the fleet described by the `network` options.
-fn fleet_spec_from(args: &Args, default_nodes: u64) -> Result<FleetSpec, String> {
-    let nodes = args.get_u64("nodes", default_nodes)? as usize;
-    if nodes == 0 {
-        return Err("--nodes: a fleet needs at least one node".to_owned());
-    }
-    let f0 = args.get_f64("f0", 75.0)?;
-    let horizon = args.get_f64("horizon", 3600.0)?;
-    let freq_spread = args.get_f64("freq-spread", 2.0)?;
-    let phase_spread = args.get_f64("phase-spread", 30.0)?;
-    if !(freq_spread >= 0.0 && freq_spread.is_finite()) {
-        return Err("--freq-spread: expected a non-negative spread".to_owned());
-    }
-    if !(phase_spread >= 0.0 && phase_spread.is_finite()) {
-        return Err("--phase-spread: expected a non-negative spread".to_owned());
-    }
-
-    let mut channel = if args.has_flag("ideal") {
-        RadioChannel::ideal()
-    } else {
-        RadioChannel::paper_default()
-    };
-    if let Some(slot) = args.get("slot") {
-        let slot: f64 = slot
-            .parse()
-            .map_err(|_| format!("--slot: expected a number, got {slot}"))?;
-        if !(slot > 0.0 && slot.is_finite()) {
-            return Err("--slot: expected a positive slot".to_owned());
-        }
-        channel = channel.with_slot(slot);
-    }
-    if args.get("interference").is_some() {
-        let range = args.get_f64("interference", 0.0)?;
-        if range < 0.0 {
-            return Err("--interference: expected a non-negative range".to_owned());
-        }
-        channel = channel.with_interference_range(range);
-    }
-    if args.get("delivery").is_some() {
-        let range = args.get_f64("delivery", 0.0)?;
-        if range < 0.0 {
-            return Err("--delivery: expected a non-negative range".to_owned());
-        }
-        channel = channel.with_delivery_range(range);
-    }
-    if let Some(method) = args.get("arbitration") {
-        let method: ArbitrationMethod =
-            method.parse().map_err(|e| format!("--arbitration: {e}"))?;
-        channel = channel.with_method(method);
-    }
-
-    let topology = if args.get("grid-pitch").is_some() {
-        FleetTopology::Grid {
-            pitch_m: args.get_f64("grid-pitch", 5.0)?,
-        }
-    } else {
-        FleetTopology::Ring {
-            radius_m: args.get_f64("ring-radius", 10.0)?,
-        }
-    };
-
-    let template = SystemConfig::paper(NodeConfig::original())
-        .with_horizon(horizon)
-        .with_vibration(VibrationProfile::paper_profile(f0));
-    let mut spec = FleetSpec::paper(nodes)
-        .with_seed(args.get_u64("fleet-seed", 99)?)
-        .with_template(template)
-        .with_spreads(freq_spread, phase_spread)
-        .with_channel(channel)
-        .with_topology(topology);
-    let plan = fault_plan_from(args)?;
-    if !plan.is_none() {
-        spec = spec.with_faults(plan);
-    }
-    Ok(spec)
-}
-
-/// Evaluates (or, with `--dse`, optimises) a fleet of nodes on a shared
-/// radio channel. The objective is the sink goodput: unique packets
-/// delivered per hour.
-fn cmd_network(args: &Args) -> Result<(), String> {
-    let spec = fleet_spec_from(args, 16)?;
-    let jobs = args.get_u64("jobs", 0)? as usize;
-    if args.has_flag("dse") {
-        let mut flow = FleetDseFlow::paper(spec.nodes)
-            .with_spec(spec)
-            .seed(args.get_u64("seed", 12)?)
-            .doe_runs(args.get_u64("runs", 10)? as usize)
-            .jobs(jobs)
-            .linalg(linalg_from(args)?)
-            .retry_policy(retry_policy_from(args)?)
-            .eval_deadline(eval_deadline_from(args)?)
-            .with_engine(engine_from(args)?);
-        if let Some(dir) = args.get("cache-dir") {
-            flow = flow.cache_dir(dir);
-        }
-        let report = flow.run().map_err(|e| e.to_string())?;
-        if args.has_flag("json") {
-            println!("{}", report.to_json());
-        } else {
-            println!("{report}");
-        }
-    } else {
-        if args.get("cache-dir").is_some() {
-            // A plain fleet evaluation needs every node's full timestamp
-            // trace, which only a fresh simulation produces — a warm
-            // scalar cache would starve the channel arbitration. The
-            // warning is one structured JSON line so scripted callers
-            // can detect the ignored option instead of matching prose.
-            eprintln!("{}", wsn_net::serve::cache_dir_ignored_warning());
-        }
-        let clock = args.get_f64("clock", 4e6)?;
-        let watchdog = args.get_f64("watchdog", 320.0)?;
-        let interval = args.get_f64("interval", 5.0)?;
-        let node = NodeConfig::new(clock, watchdog, interval).map_err(|e| e.to_string())?;
-        let report = NetworkSim::new()
-            .jobs(jobs)
-            .with_engine(engine_from(args)?)
-            .retry_policy(retry_policy_from(args)?)
-            .eval_deadline(eval_deadline_from(args)?)
-            .evaluate(&spec, node)
-            .map_err(|e| e.to_string())?;
-        if args.has_flag("json") {
-            println!("{}", report.to_json());
-        } else {
-            println!("{report}");
-        }
-    }
-    Ok(())
-}
-
-/// Multi-objective Pareto DSE over the Table V space: single-node by
-/// default (transmissions/h vs final voltage vs energy), fleet-level
-/// with `--fleet` (goodput vs worst-node energy margin vs collision
-/// rate vs starvation). `--adaptive` swaps the fixed D-optimal plan for
-/// the sequential acquisition driver under `--budget` evaluations.
-fn cmd_pareto(args: &Args) -> Result<(), String> {
-    let jobs = args.get_u64("jobs", 0)? as usize;
-    let objective: Arc<dyn MultiObjective> = if args.has_flag("fleet") {
-        let spec = fleet_spec_from(args, 5)?;
-        let sim = NetworkSim::new()
-            .jobs(jobs)
-            .with_engine(engine_from(args)?)
-            .retry_policy(retry_policy_from(args)?)
-            .eval_deadline(eval_deadline_from(args)?);
-        Arc::new(FleetObjectives::new(spec).with_sim(sim))
-    } else {
-        let template = SystemConfig::paper(NodeConfig::original())
-            .with_horizon(args.get_f64("horizon", 3600.0)?)
-            .with_vibration(VibrationProfile::paper_profile(args.get_f64("f0", 75.0)?))
-            .with_faults(fault_plan_from(args)?);
-        Arc::new(
-            NodeObjectives::paper()
-                .with_template(template)
-                .with_engine(engine_from(args)?),
-        )
-    };
-    let mut flow = ParetoDseFlow::new(objective)
-        .seed(args.get_u64("seed", 12)?)
-        .adaptive(args.has_flag("adaptive"))
-        .budget(args.get_u64("budget", 18)? as usize)
-        .doe_runs(args.get_u64("runs", 10)? as usize)
-        .batch(args.get_u64("batch", 3)? as usize)
-        .front_cap(args.get_u64("front-cap", 12)? as usize)
-        .explore(args.get_f64("explore", 0.5)?)
-        .jobs(jobs)
-        .linalg(linalg_from(args)?)
-        .retry_policy(retry_policy_from(args)?)
-        .eval_deadline(eval_deadline_from(args)?);
-    if args.has_flag("timer-space") {
-        flow = flow.with_space(paper_design_space_with_timer());
-    }
-    if let Some(names) = args.get("objectives") {
-        flow = flow.objectives(names);
-    }
-    if let Some(dir) = args.get("cache-dir") {
-        flow = flow.cache_dir(dir);
-    }
-    let report = flow.run().map_err(|e| e.to_string())?;
-    if args.has_flag("json") {
-        println!("{}", report.to_json());
-    } else {
-        println!("{report}");
-    }
-    Ok(())
-}
-
 /// Exercises the robustness machinery end to end: a chaos-wrapped
 /// envelope engine backed by an RSM surrogate, stormed with seeded
 /// failures through the fault-tolerant pool. Exits 0 as long as the
@@ -658,46 +294,21 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     if n_points == 0 {
         return Err("--points: expected at least one storm point".to_owned());
     }
-    let f0 = args.get_f64("f0", 75.0)?;
+    let f0 = args.get_f64("f0", RunJob::default().f0)?;
     let horizon = args.get_f64("horizon", 600.0)?;
-    let jobs = args.get_u64("jobs", 0)? as usize;
+    let ctx = context_from(args, false)?;
 
     let mut template = SystemConfig::paper(NodeConfig::original())
         .with_horizon(horizon)
         .with_vibration(VibrationProfile::paper_profile(f0));
     template.trace_interval = None;
 
-    // Calibrate the last-resort surrogate tier from the clean envelope
-    // engine: a quick D-optimal design, simulated and fitted exactly
-    // like the paper flow's response surface.
-    let space = paper_design_space();
-    let model = ModelSpec::quadratic(space.dimension());
-    let design = DOptimal::new(space.dimension(), model.clone())
-        .runs(10)
-        .seed(seed)
-        .linalg(linalg_from(args)?)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let clean = EngineKind::Envelope.engine();
-    let mut responses = Vec::with_capacity(design.len());
-    for p in design.points() {
-        let mut cfg = template.clone();
-        cfg.node = coded_to_config(&space, p).map_err(|e| e.to_string())?;
-        let out = clean.simulate(&cfg).map_err(|e| e.to_string())?;
-        responses.push(out.transmissions as f64);
-    }
-    let surface = ResponseSurface::fit_with(&design, model, &responses, linalg_from(args)?)
-        .map_err(|e| e.to_string())?;
-    let surrogate: Arc<dyn SimEngine> = Arc::new(SurrogateEngine::new(space.clone(), surface));
-
     // The ladder under test: the envelope engine wrapped in a seeded
-    // chaos injector, backed by the surrogate, with per-tier breakers.
-    let chaotic: Arc<dyn SimEngine> = Arc::new(ChaosEngine::new(
-        EngineKind::Envelope.engine(),
-        ChaosPlan::storm(seed, rate),
-    ));
-    let ladder = Arc::new(FallbackEngine::new(vec![chaotic, surrogate]));
+    // chaos injector, backed by a surrogate calibrated from the clean
+    // envelope engine, with per-tier breakers.
+    let ladder = exec::chaos_ladder(seed, rate, &template, ctx.linalg)?;
     let engine: Arc<dyn SimEngine> = ladder.clone();
+    let space = paper_design_space();
 
     // Storm targets: seeded coded points across the Table V space.
     let mut rng = Rng::stream(seed, 0x6368_6173); // "chas"
@@ -714,9 +325,9 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         .map(|p| EvalKey::for_engine(engine.as_ref(), scenario, p))
         .collect();
 
-    let mut pool = SimPool::new(jobs);
-    pool.set_retry_policy(retry_policy_from(args)?);
-    pool.set_eval_deadline(eval_deadline_from(args)?);
+    let mut pool = SimPool::new(ctx.jobs);
+    pool.set_retry_policy(ctx.retry);
+    pool.set_eval_deadline(ctx.deadline);
     // Injected panics are the experiment, not crashes: the pool catches
     // every one, so mute the default backtrace spam for the storm's
     // duration and restore the hook afterwards.
@@ -797,13 +408,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             "--chaos-rate: expected a rate in [0, 1], got {rate}"
         ));
     }
-    let retries = match args.get("eval-retries") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u32>()
-                .map_err(|_| format!("--eval-retries: expected a retry count, got {v}"))?,
-        ),
-    };
     let config = wsn_net::ServeConfig {
         workers: args.get_u64("workers", 2)? as usize,
         jobs: args.get_u64("jobs", 0)? as usize,
@@ -811,7 +415,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         chaos_rate: rate,
         chaos_seed: args.get_u64("chaos-seed", 7)?,
         eval_timeout: eval_deadline_from(args)?,
-        eval_retries: retries,
+        eval_retries: option(args, "eval-retries")?,
     };
     let workers = config.workers;
     let server = wsn_net::Server::bind(args.get("addr").unwrap_or("127.0.0.1:0"), config)?;
@@ -840,16 +444,11 @@ fn main() -> ExitCode {
         }
     };
     let result = match command.as_str() {
-        "run" => cmd_run(&args),
-        "simulate" => cmd_simulate(&args),
         "sweep" => cmd_sweep(&args),
         "refine" => cmd_refine(&args),
-        "faults" => cmd_faults(&args),
-        "network" => cmd_network(&args),
-        "pareto" => cmd_pareto(&args),
         "chaos" => cmd_chaos(&args),
         "serve" => cmd_serve(&args),
-        other => Err(format!("unknown command {other}\n{}", usage())),
+        job => cmd_job(job, &args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -27,6 +27,10 @@
 //!   objective, memoised under [`wsn_dse::EvalKey`]s that fold in the
 //!   [`FleetSpec::fingerprint`] so fleet and single-node cache entries
 //!   never collide.
+//! * [`execute`] — the one executor of every job type of the serving
+//!   protocol ([`wsn_dse::protocol::Request`]): the `wsn_dse` CLI, the
+//!   [`Server`] and the tests all run jobs through it, under an
+//!   [`ExecContext`] that says how, never what, to compute.
 //!
 //! # Example
 //!
@@ -53,6 +57,7 @@
 pub mod args;
 mod channel;
 mod dse;
+pub mod exec;
 mod fleet;
 mod pareto;
 mod report;
@@ -63,6 +68,7 @@ pub use channel::{
     DEFAULT_SLOT_S,
 };
 pub use dse::{FleetDseFlow, FleetDseReport, FleetEval};
+pub use exec::{execute, ExecContext, FaultsReport, JobReport};
 pub use fleet::{FleetSpec, FleetTopology, NetworkSim};
 pub use pareto::FleetObjectives;
 pub use report::{NetworkReport, NodeReport};

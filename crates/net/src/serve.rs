@@ -10,6 +10,12 @@
 //! DSE never blocks a cheap simulate submitted after it (given more
 //! than one worker).
 //!
+//! Every job runs through [`crate::execute`], the executor the `wsn_dse`
+//! CLI calls too, with the server's one [`crate::ExecContext`]: served
+//! reports equal the CLI's by construction, except the single-node
+//! report's embedded `"cache"` counters, which describe the server's
+//! shared cache rather than a private cold one.
+//!
 //! # Cache-sharing semantics
 //!
 //! Every dispatched flow gets the server's cache via
@@ -19,39 +25,22 @@
 //! fingerprint and the scenario/fleet fingerprint, so concurrent jobs
 //! with different scenarios can never poison each other, while
 //! identical jobs coalesce: the second submission of the same job is
-//! answered almost entirely from memory. Reports served this way are
-//! byte-identical to the CLI's, except the single-node report's
-//! embedded `"cache"` counters, which describe the server's shared
-//! cache rather than a private cold one.
+//! answered almost entirely from memory.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use doe::{DOptimal, ModelSpec};
 use harvester::VibrationProfile;
-use rsm::ResponseSurface;
 use wsn_dse::jobs::{EventSink, JobEvent, JobFn, JobQueue, JobState};
-use wsn_dse::protocol::{
-    self, FaultsJob, NetworkJob, ParetoJob, ProtocolError, Request, RunJob, SimulateJob,
-    MAX_FRAME_BYTES,
-};
-use wsn_dse::robustness::{evaluate_scenarios_with, fault_robustness_with};
-use wsn_dse::{
-    coded_to_config, paper_design_space, paper_design_space_with_timer, Backend, DseFlow,
-    EvalCache, RetryPolicy, SimPool, SurrogateEngine,
-};
-use wsn_node::{
-    ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, FaultPlan, NodeConfig, SimEngine,
-    SystemConfig,
-};
-use wsn_pareto::{MultiObjective, NodeObjectives, ParetoDseFlow};
+use wsn_dse::protocol::{self, ProtocolError, Request, MAX_FRAME_BYTES};
+use wsn_dse::{Backend, EvalCache};
+use wsn_node::{NodeConfig, SystemConfig};
 
-use crate::{FleetDseFlow, FleetObjectives, FleetSpec, FleetTopology, NetworkSim, RadioChannel};
+use crate::exec::{self, ExecContext};
 
 /// The structured stderr warning emitted when `network` (non-DSE) is
 /// given `--cache-dir`: a plain fleet evaluation needs every node's
@@ -77,7 +66,7 @@ pub struct ServeConfig {
     /// Directory for the crash-safe persistent cache, when any.
     pub cache_dir: Option<PathBuf>,
     /// Chaos-injection rate in `[0, 1]`; positive values wrap every
-    /// job's engine in a seeded [`ChaosEngine`] backed by a calibrated
+    /// job's engine in a seeded [`wsn_node::ChaosEngine`] backed by a calibrated
     /// surrogate tier (the soak-test configuration).
     pub chaos_rate: f64,
     /// Seed for the chaos plan and the surrogate calibration design.
@@ -105,31 +94,11 @@ impl Default for ServeConfig {
 }
 
 struct ServerState {
-    config: ServeConfig,
-    cache: Arc<EvalCache>,
+    ctx: ExecContext,
     queue: JobQueue,
-    ladder: Option<Arc<FallbackEngine>>,
-    retry: RetryPolicy,
     stop: AtomicBool,
     requests: AtomicU64,
     protocol_errors: AtomicU64,
-}
-
-impl ServerState {
-    /// The engine a job asking for `kind` actually gets: the chaos
-    /// ladder when one is armed, the plain engine otherwise.
-    fn engine_for(&self, kind: EngineKind) -> Arc<dyn SimEngine> {
-        match &self.ladder {
-            Some(ladder) => Arc::clone(ladder) as Arc<dyn SimEngine>,
-            None => kind.engine(),
-        }
-    }
-
-    fn deadline_for(&self, timeout_ms: Option<u64>) -> Option<Duration> {
-        timeout_ms
-            .map(Duration::from_millis)
-            .or(self.config.eval_timeout)
-    }
 }
 
 /// A bound, not-yet-serving `wsn-serve` instance. [`Server::run`]
@@ -164,22 +133,32 @@ impl Server {
                     config.chaos_rate
                 ));
             }
-            Some(build_chaos_ladder(config.chaos_seed, config.chaos_rate)?)
+            // The soak configuration: the surrogate is calibrated over a
+            // fixed 600 s paper scenario.
+            let mut template = SystemConfig::paper(NodeConfig::original())
+                .with_horizon(600.0)
+                .with_vibration(VibrationProfile::paper_profile(75.0));
+            template.trace_interval = None;
+            Some(exec::chaos_ladder(
+                config.chaos_seed,
+                config.chaos_rate,
+                &template,
+                Backend::default(),
+            )?)
         } else {
             None
         };
-        let retry = match config.eval_retries {
-            None => RetryPolicy::default(),
-            Some(retries) => RetryPolicy::attempts(retries + 1)
-                .with_backoff(Duration::from_millis(25))
-                .with_jitter(0.5, config.chaos_seed),
+        let ctx = ExecContext {
+            jobs: config.jobs,
+            cache,
+            retry: exec::retry_policy(config.eval_retries, config.chaos_seed),
+            deadline: config.eval_timeout,
+            ladder,
+            ..ExecContext::default()
         };
         let state = Arc::new(ServerState {
             queue: JobQueue::new(config.workers),
-            config,
-            cache,
-            ladder,
-            retry,
+            ctx,
             stop: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
@@ -216,55 +195,25 @@ impl Server {
             std::thread::spawn(move || handle_connection(&state, stream));
         }
         self.state.queue.shutdown();
-        if let Err(e) = self.state.cache.flush() {
+        if let Err(e) = self.state.ctx.cache.flush() {
             eprintln!("warning: final eval cache flush failed: {e}");
         }
     }
-}
-
-/// Calibrates the last-resort surrogate tier from the clean envelope
-/// engine (the `chaos` subcommand's procedure) and stacks it under a
-/// chaos-wrapped envelope engine.
-fn build_chaos_ladder(seed: u64, rate: f64) -> Result<Arc<FallbackEngine>, String> {
-    let mut template = SystemConfig::paper(NodeConfig::original())
-        .with_horizon(600.0)
-        .with_vibration(VibrationProfile::paper_profile(75.0));
-    template.trace_interval = None;
-    let space = paper_design_space();
-    let model = ModelSpec::quadratic(space.dimension());
-    let design = DOptimal::new(space.dimension(), model.clone())
-        .runs(10)
-        .seed(seed)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let clean = EngineKind::Envelope.engine();
-    let mut responses = Vec::with_capacity(design.len());
-    for p in design.points() {
-        let mut cfg = template.clone();
-        cfg.node = coded_to_config(&space, p).map_err(|e| e.to_string())?;
-        let out = clean.simulate(&cfg).map_err(|e| e.to_string())?;
-        responses.push(out.transmissions as f64);
-    }
-    let surface = ResponseSurface::fit_with(&design, model, &responses, Backend::default())
-        .map_err(|e| e.to_string())?;
-    let surrogate: Arc<dyn SimEngine> = Arc::new(SurrogateEngine::new(space, surface));
-    let chaotic: Arc<dyn SimEngine> = Arc::new(ChaosEngine::new(
-        EngineKind::Envelope.engine(),
-        ChaosPlan::storm(seed, rate),
-    ));
-    Ok(Arc::new(FallbackEngine::new(vec![chaotic, surrogate])))
 }
 
 /// Shared, flushing line writer: frames from the reader thread and from
 /// job workers interleave whole-line-atomically.
 type FrameWriter = Arc<Mutex<TcpStream>>;
 
-fn write_frame(writer: &FrameWriter, frame: &str) {
+/// Writes `frame` and its newline with **one** `write_all`: split into
+/// two writes, Nagle's algorithm would hold the newline back until the
+/// peer's delayed ACK.
+fn write_frame<W: Write>(writer: &Mutex<W>, frame: &str) {
+    let mut line = String::with_capacity(frame.len() + 1);
+    line.push_str(frame);
+    line.push('\n');
     let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    let _ = w
-        .write_all(frame.as_bytes())
-        .and_then(|()| w.write_all(b"\n"))
-        .and_then(|()| w.flush());
+    let _ = w.write_all(line.as_bytes()).and_then(|()| w.flush());
 }
 
 /// Reads one newline-terminated frame with bounded memory: bytes past
@@ -304,6 +253,10 @@ fn read_frame_capped(reader: &mut impl BufRead, buf: &mut String) -> std::io::Re
 }
 
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
+    // Every write is one whole frame, so Nagle's algorithm has nothing
+    // to coalesce: it would only hold a frame back while an earlier
+    // one waits for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -381,7 +334,9 @@ fn dispatch(state: &Arc<ServerState>, writer: &FrameWriter, request: Request) ->
             let id = job_request.id().map(str::to_owned);
             let events = frame_events(Arc::clone(writer), id.clone());
             let exec_state = Arc::clone(state);
-            let work: JobFn = Box::new(move || execute(&exec_state, &job_request));
+            let work: JobFn = Box::new(move || {
+                exec::execute(&exec_state.ctx, &job_request).map(|report| report.to_json())
+            });
             match state.queue.submit(work, events) {
                 Some(job) => {
                     let depth = state.queue.depth();
@@ -422,8 +377,8 @@ fn frame_events(writer: FrameWriter, id: Option<String>) -> EventSink {
 
 fn stats_frame(state: &ServerState) -> String {
     let q = state.queue.stats();
-    let c = state.cache.stats();
-    let (degraded, tiers) = match &state.ladder {
+    let c = state.ctx.cache.stats();
+    let (degraded, tiers) = match &state.ctx.ladder {
         Some(ladder) => {
             let tiers: Vec<String> = ladder
                 .tier_stats()
@@ -459,215 +414,35 @@ fn stats_frame(state: &ServerState) -> String {
     )
 }
 
-// ---------------------------------------------------------------------------
-// Request execution: each job builds the same flow the CLI would, so
-// served reports are byte-identical to CLI ones (the single-node
-// report's shared-cache counters excepted).
-// ---------------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn execute(state: &ServerState, request: &Request) -> Result<String, String> {
-    match request {
-        Request::Run(job) => run_report(state, job),
-        Request::Simulate(job) => simulate_report(state, job),
-        Request::Faults(job) => faults_report(state, job),
-        Request::Network(job) => network_report(state, job),
-        Request::Pareto(job) => pareto_report(state, job),
-        _ => Err("not a job request".to_owned()),
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
     }
-}
 
-fn paper_template(f0: f64, horizon: f64) -> SystemConfig {
-    SystemConfig::paper(NodeConfig::original())
-        .with_horizon(horizon)
-        .with_vibration(VibrationProfile::paper_profile(f0))
-}
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
 
-fn run_report(state: &ServerState, job: &RunJob) -> Result<String, String> {
-    let flow = DseFlow::paper()
-        .with_template(paper_template(job.f0, job.horizon))
-        .faults(FaultPlan::uniform(job.fault_seed, job.fault_rate))
-        .seed(job.seed)
-        .doe_runs(job.runs as usize)
-        .jobs(state.config.jobs)
-        .retry_policy(state.retry.clone())
-        .eval_deadline(state.deadline_for(job.timeout_ms))
-        .with_engine(state.engine_for(job.engine))
-        .shared_cache(Arc::clone(&state.cache));
-    flow.run()
-        .map(|report| report.to_json())
-        .map_err(|e| e.to_string())
-}
-
-fn simulate_report(state: &ServerState, job: &SimulateJob) -> Result<String, String> {
-    let node = NodeConfig::new(job.clock, job.watchdog, job.interval).map_err(|e| e.to_string())?;
-    let mut cfg = SystemConfig::paper(node)
-        .with_horizon(job.horizon)
-        .with_vibration(VibrationProfile::paper_profile(job.f0))
-        .with_faults(FaultPlan::uniform(job.fault_seed, job.fault_rate));
-    cfg.trace_interval = None;
-    let engine = state.engine_for(job.engine);
-    let deadline = state.deadline_for(job.timeout_ms);
-    // The pool's deadline discipline, inlined for a single direct run:
-    // cooperative aborts and late completions both fail cleanly.
-    let started = std::time::Instant::now();
-    let outcome = wsn_node::deadline::with_budget(deadline, || {
-        std::panic::catch_unwind(AssertUnwindSafe(|| engine.simulate(&cfg)))
-    });
-    match outcome {
-        Ok(Ok(out)) => match deadline {
-            Some(budget) if started.elapsed() > budget => {
-                Err(format!("evaluation timed out after {budget:?}"))
-            }
-            _ => Ok(out.to_json()),
-        },
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(payload) => {
-            if wsn_node::deadline::payload_is_deadline(payload.as_ref()) {
-                Err(format!(
-                    "evaluation timed out after {:?}",
-                    deadline.unwrap_or_default()
-                ))
-            } else {
-                Err("evaluation panicked".to_owned())
-            }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
         }
     }
-}
 
-fn faults_report(state: &ServerState, job: &FaultsJob) -> Result<String, String> {
-    let plan = FaultPlan::uniform(job.fault_seed, job.fault_rate);
-    let node = NodeConfig::new(job.clock, job.watchdog, job.interval).map_err(|e| e.to_string())?;
-    let mut template = paper_template(job.f0, job.horizon);
-    template.trace_interval = None;
-
-    let engine = state.engine_for(job.engine);
-    let mut pool = SimPool::new(state.config.jobs);
-    pool.set_retry_policy(state.retry.clone());
-    pool.set_eval_deadline(state.deadline_for(job.timeout_ms));
-    pool.set_shared_cache(Arc::clone(&state.cache));
-    let nominal = evaluate_scenarios_with(&engine, &pool, &template, node, &[template.scenario()])
-        .map_err(|e| e.to_string())?;
-    let nominal_tx = nominal.samples[0];
-
-    let seeds: Vec<u64> = (0..job.seeds)
-        .map(|i| plan.seed().wrapping_add(i))
-        .collect();
-    let summary = fault_robustness_with(&engine, &pool, &template, node, plan, &seeds)
-        .map_err(|e| e.to_string())?;
-    let mut counted = template.clone().with_faults(plan.reseeded(seeds[0]));
-    counted.node = node;
-    let outcome = engine.simulate(&counted).map_err(|e| e.to_string())?;
-
-    let samples: Vec<String> = summary.samples.iter().map(|s| format!("{s}")).collect();
-    Ok(format!(
-        "{{\"fault_seed\":{},\"fault_rate\":{},\"realisations\":{},\
-         \"nominal_tx\":{},\
-         \"ensemble\":{{\"samples\":[{}],\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{},\
-         \"fragility\":{:.6},\"p10\":{},\"worst_case_ratio\":{:.6}}},\
-         \"counters\":{{\"tx_failures\":{},\"tx_retries\":{},\"tx_aborts\":{},\
-         \"brownouts\":{},\"watchdog_misses\":{}}}}}",
-        plan.seed(),
-        plan.tx_failure_rate(),
-        job.seeds,
-        nominal_tx,
-        samples.join(","),
-        summary.mean,
-        summary.std_dev,
-        summary.min,
-        summary.max,
-        summary.fragility(),
-        summary.percentile(10.0),
-        summary.worst_case_ratio(),
-        outcome.faults.tx_failures,
-        outcome.faults.tx_retries,
-        outcome.faults.tx_aborts,
-        outcome.faults.brownouts,
-        outcome.faults.watchdog_misses,
-    ))
-}
-
-fn pareto_report(state: &ServerState, job: &ParetoJob) -> Result<String, String> {
-    let objective: Arc<dyn MultiObjective> = if job.fleet {
-        // Same spec the CLI's `pareto --fleet` builds with its defaults:
-        // FleetSpec::paper already carries the paper channel, the ±2 Hz /
-        // 30 s spreads and the 10 m ring.
-        let spec = FleetSpec::paper(job.nodes as usize)
-            .with_seed(job.fleet_seed)
-            .with_template(paper_template(job.f0, job.horizon));
-        let sim = NetworkSim::new()
-            .jobs(state.config.jobs)
-            .with_engine(state.engine_for(job.engine))
-            .retry_policy(state.retry.clone())
-            .eval_deadline(state.deadline_for(job.timeout_ms));
-        Arc::new(FleetObjectives::new(spec).with_sim(sim))
-    } else {
-        Arc::new(
-            NodeObjectives::paper()
-                .with_template(paper_template(job.f0, job.horizon))
-                .with_engine(state.engine_for(job.engine)),
-        )
-    };
-    let mut flow = ParetoDseFlow::new(objective)
-        .seed(job.seed)
-        .adaptive(job.adaptive)
-        .budget(job.budget as usize)
-        .doe_runs(job.runs as usize)
-        .jobs(state.config.jobs)
-        .retry_policy(state.retry.clone())
-        .eval_deadline(state.deadline_for(job.timeout_ms));
-    if job.timer_space {
-        flow = flow.with_space(paper_design_space_with_timer());
-    }
-    if let Some(names) = &job.objectives {
-        flow = flow.objectives(names);
-    }
-    // The shared cache comes last: `with_space` clears whatever cache
-    // the flow holds when it runs.
-    flow.shared_cache(Arc::clone(&state.cache))
-        .run()
-        .map(|report| report.to_json())
-        .map_err(|e| e.to_string())
-}
-
-fn network_report(state: &ServerState, job: &NetworkJob) -> Result<String, String> {
-    let channel = if job.ideal {
-        RadioChannel::ideal()
-    } else {
-        RadioChannel::paper_default()
-    };
-    let mut spec = FleetSpec::paper(job.nodes as usize)
-        .with_seed(job.fleet_seed)
-        .with_template(paper_template(job.f0, job.horizon))
-        .with_spreads(job.freq_spread, job.phase_spread)
-        .with_channel(channel)
-        .with_topology(FleetTopology::Ring { radius_m: 10.0 });
-    let plan = FaultPlan::uniform(job.fault_seed, job.fault_rate);
-    if !plan.is_none() {
-        spec = spec.with_faults(plan);
-    }
-    if job.dse {
-        let flow = FleetDseFlow::paper(spec.nodes)
-            .with_spec(spec)
-            .seed(job.seed)
-            .doe_runs(job.runs as usize)
-            .jobs(state.config.jobs)
-            .retry_policy(state.retry.clone())
-            .eval_deadline(state.deadline_for(job.timeout_ms))
-            .with_engine(state.engine_for(job.engine))
-            .shared_cache(Arc::clone(&state.cache));
-        flow.run()
-            .map(|report| report.to_json())
-            .map_err(|e| e.to_string())
-    } else {
-        let node =
-            NodeConfig::new(job.clock, job.watchdog, job.interval).map_err(|e| e.to_string())?;
-        NetworkSim::new()
-            .jobs(state.config.jobs)
-            .with_engine(state.engine_for(job.engine))
-            .retry_policy(state.retry.clone())
-            .eval_deadline(state.deadline_for(job.timeout_ms))
-            .evaluate(&spec, node)
-            .map(|report| report.to_json())
-            .map_err(|e| e.to_string())
+    #[test]
+    fn a_frame_and_its_newline_go_out_in_one_write() {
+        let writer = Mutex::new(CountingWriter::default());
+        write_frame(&writer, &protocol::pong_frame());
+        let writer = writer.into_inner().unwrap();
+        assert_eq!(writer.writes, 1);
+        assert_eq!(writer.bytes, b"{\"event\":\"pong\"}\n");
     }
 }

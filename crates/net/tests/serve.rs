@@ -17,10 +17,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 
 use harvester::VibrationProfile;
-use wsn_dse::protocol::{Frame, Request};
+use wsn_dse::protocol::{FleetOptions, Frame, NetworkJob, ParetoJob, Request, RunJob, SimulateJob};
 use wsn_dse::DseFlow;
-use wsn_net::{ServeConfig, Server};
-use wsn_node::{FaultPlan, NodeConfig, SystemConfig};
+use wsn_net::{execute, ExecContext, ServeConfig, Server};
+use wsn_node::{EngineKind, FaultPlan, NodeConfig, SystemConfig};
 
 // ---------------------------------------------------------------------------
 // Harness
@@ -133,6 +133,7 @@ fn tagged(request: Request, tag: &str) -> Request {
         Request::Simulate(j) => j.id = Some(tag.to_owned()),
         Request::Faults(j) => j.id = Some(tag.to_owned()),
         Request::Network(j) => j.id = Some(tag.to_owned()),
+        Request::Pareto(j) => j.id = Some(tag.to_owned()),
         _ => panic!("not a job request"),
     }
     request
@@ -140,7 +141,7 @@ fn tagged(request: Request, tag: &str) -> Request {
 
 /// The test job set: short-horizon variants of all four job types.
 fn run_request(seed: u64, horizon: f64) -> Request {
-    Request::Run(wsn_dse::protocol::RunJob {
+    Request::Run(RunJob {
         seed,
         horizon,
         ..Default::default()
@@ -148,7 +149,7 @@ fn run_request(seed: u64, horizon: f64) -> Request {
 }
 
 fn simulate_request(interval: f64) -> Request {
-    Request::Simulate(wsn_dse::protocol::SimulateJob {
+    Request::Simulate(SimulateJob {
         interval,
         horizon: 600.0,
         ..Default::default()
@@ -194,6 +195,101 @@ fn served_run_report_matches_cli_flow_modulo_cache() {
     assert!(served.contains("\"cache\":{"));
     assert!(expected.contains("\"cache\":{"));
     shutdown(addr, handle);
+}
+
+/// Every job type, served, equals the shared executor's report — the
+/// types verify.sh does not diff (`faults`, `simulate`, plain
+/// `network`) included, each with non-default options that served jobs
+/// once ignored.
+#[test]
+fn every_job_type_is_served_as_the_executor_reports_it() {
+    let fleet_options = FleetOptions {
+        freq_spread: Some(1.0),
+        slot: Some(0.5),
+        interference: Some(20.0),
+        grid_pitch: Some(7.0),
+        ..FleetOptions::default()
+    };
+    let jobs = [
+        run_request(12, 600.0),
+        Request::Simulate(SimulateJob {
+            interval: 7.0,
+            horizon: 1000.0,
+            trace: true,
+            ..SimulateJob::default()
+        }),
+        faults_request(3),
+        Request::Network(NetworkJob {
+            nodes: 5,
+            horizon: 600.0,
+            fleet_options: fleet_options.clone(),
+            ..NetworkJob::default()
+        }),
+        Request::Pareto(ParetoJob {
+            fleet: true,
+            nodes: 3,
+            horizon: 600.0,
+            fleet_options,
+            adaptive: true,
+            budget: 8,
+            batch: 2,
+            front_cap: 5,
+            explore: 0.3,
+            ..ParetoJob::default()
+        }),
+    ];
+    let (addr, handle) = start_server(ServeConfig::default());
+    let mut client = Client::connect(addr);
+    for (i, job) in jobs.into_iter().enumerate() {
+        let local = execute(&ExecContext::default(), &job)
+            .expect("local job")
+            .to_json();
+        let served = client.run_job(&tagged(job, &format!("job{i}")));
+        assert_eq!(strip_cache(&served), strip_cache(&local), "job {i}");
+    }
+    shutdown(addr, handle);
+}
+
+/// Trace sampling splits the integration segments, so a traced
+/// simulation can differ from an untraced one in the last digits:
+/// `trace` is part of the simulate job, not an output option.
+#[test]
+fn tracing_changes_the_simulate_report_so_it_is_part_of_the_job() {
+    let simulate = |trace| {
+        let job = Request::Simulate(SimulateJob {
+            interval: 7.0,
+            horizon: 1000.0,
+            trace,
+            ..SimulateJob::default()
+        });
+        execute(&ExecContext::default(), &job)
+            .expect("simulate")
+            .to_json()
+    };
+    assert_ne!(simulate(false), simulate(true));
+}
+
+/// A cache warmed by full-engine runs at one analogue step never
+/// answers a run at another: the step is part of the engine's cache
+/// fingerprint, so the warm run equals an uncached one.
+#[test]
+fn a_cache_warmed_at_another_dt_never_answers_a_full_engine_run() {
+    let run = |dt| {
+        Request::Run(RunJob {
+            engine: EngineKind::Full,
+            horizon: 30.0,
+            dt,
+            ..RunJob::default()
+        })
+    };
+    let report =
+        |ctx: &ExecContext, dt| strip_cache(&execute(ctx, &run(dt)).expect("run").to_json());
+    let warm = ExecContext::default();
+    let at_a = report(&warm, 1e-3);
+    let warm_at_b = report(&warm, 4e-3);
+    let cold_at_b = report(&ExecContext::default(), 4e-3);
+    assert_ne!(at_a, cold_at_b, "the two steps must give different reports");
+    assert_eq!(warm_at_b, cold_at_b);
 }
 
 // ---------------------------------------------------------------------------

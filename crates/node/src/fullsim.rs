@@ -240,6 +240,20 @@ impl SimEngine for FullSystemSim {
     fn simulate(&self, config: &SystemConfig) -> Result<SimOutcome> {
         self.run(config)
     }
+
+    /// Folds the analogue step into the engine discriminant: runs at
+    /// different steps give different results, so they must never share
+    /// a cache entry.
+    fn cache_fingerprint(&self) -> u64 {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = FNV_OFFSET ^ u64::from(self.kind().discriminant());
+        for byte in self.dt.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
 }
 
 /// Digital process implementing the Table II transmission policy.

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use wsn_dse::protocol::{
-    extract_raw_field, result_frame, running_frame, FaultsJob, Frame, NetworkJob, Request, RunJob,
-    SimulateJob, MAX_FRAME_BYTES,
+    extract_raw_field, result_frame, running_frame, FaultsJob, FleetOptions, Frame, NetworkJob,
+    ParetoJob, Request, RunJob, SimulateJob, MAX_FRAME_BYTES,
 };
 use wsn_node::EngineKind;
 
@@ -36,13 +36,51 @@ fn timeout_strategy() -> impl Strategy<Value = Option<u64>> {
     prop::sample::select(vec![None, Some(0), Some(1), Some(250), Some(86_400_000)])
 }
 
+/// Strategy: the fleet options of `network` and `pareto --fleet`, with
+/// every optional channel and topology field both absent and set.
+fn fleet_options_strategy() -> impl Strategy<Value = FleetOptions> {
+    let some = |values: Vec<Option<f64>>| prop::sample::select(values);
+    (
+        (
+            some(vec![None, Some(0.0), Some(1.5)]),
+            some(vec![None, Some(2.25), Some(45.0)]),
+            any::<bool>(),
+        ),
+        (
+            some(vec![None, Some(0.25), Some(1.0)]),
+            some(vec![None, Some(0.0), Some(50.0)]),
+            some(vec![None, Some(12.5), Some(30.0)]),
+        ),
+        (
+            some(vec![None, Some(4.0)]),
+            some(vec![None, Some(5.0), Some(7.5)]),
+        ),
+    )
+        .prop_map(
+            |(
+                (freq_spread, phase_spread, ideal),
+                (slot, interference, delivery),
+                (ring_radius, grid_pitch),
+            )| FleetOptions {
+                freq_spread,
+                phase_spread,
+                ideal,
+                slot,
+                interference,
+                delivery,
+                ring_radius,
+                grid_pitch,
+            },
+        )
+}
+
 /// Strategy: one request of any type, fields drawn across their valid
 /// ranges (floats restricted to exactly-representable round-trip-safe
 /// grids so `PartialEq` comparison after a text round-trip is exact).
 fn request_strategy() -> impl Strategy<Value = Request> {
     (
         (
-            0usize..8,
+            0usize..9,
             id_strategy(),
             engine_strategy(),
             timeout_strategy(),
@@ -56,11 +94,13 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         (
             (1u64..40, 0u64..500),
             prop::sample::select(vec![1e6f64, 4e6, 8e6]),
-            (
-                prop::sample::select(vec![0.0f64, 1.5, 30.0]),
-                any::<bool>(),
-                any::<bool>(),
-            ),
+            (any::<bool>(), any::<bool>()),
+        ),
+        (
+            fleet_options_strategy(),
+            prop::sample::select(vec![0.0f64, 5e-5, 2e-4]),
+            (4u64..30, 1u64..6, 2u64..20),
+            prop::sample::select(vec![None, Some("tx_per_hour,energy_consumed_j".to_owned())]),
         ),
     )
         .prop_map(
@@ -68,7 +108,8 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                 (kind, id, engine, timeout_ms),
                 (seed, runs, fault_seed, seeds),
                 (f0, horizon, fault_rate),
-                ((nodes, fleet_seed), clock, (spread, ideal, dse)),
+                ((nodes, fleet_seed), clock, (flag, dse)),
+                (fleet_options, dt, (budget, batch, front_cap), objectives),
             )| {
                 match kind {
                     0 => Request::Run(RunJob {
@@ -81,6 +122,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         fault_seed,
                         fault_rate,
                         timeout_ms,
+                        dt,
                     }),
                     1 => Request::Simulate(SimulateJob {
                         id,
@@ -93,6 +135,8 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         fault_seed,
                         fault_rate,
                         timeout_ms,
+                        dt,
+                        trace: flag,
                     }),
                     2 => Request::Faults(FaultsJob {
                         id,
@@ -106,6 +150,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         seeds,
                         engine,
                         timeout_ms,
+                        dt,
                     }),
                     3 => Request::Network(NetworkJob {
                         id,
@@ -113,9 +158,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         fleet_seed,
                         f0,
                         horizon,
-                        freq_spread: spread,
-                        phase_spread: spread * 2.0,
-                        ideal,
+                        fleet_options,
                         dse,
                         seed,
                         runs,
@@ -126,10 +169,34 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                         fault_seed,
                         fault_rate,
                         timeout_ms,
+                        dt,
                     }),
-                    4 => Request::Cancel { job: seed },
-                    5 => Request::Stats,
-                    6 => Request::Ping,
+                    4 => Request::Pareto(ParetoJob {
+                        id,
+                        fleet: flag,
+                        nodes,
+                        fleet_seed,
+                        f0,
+                        horizon,
+                        objectives,
+                        adaptive: dse,
+                        budget,
+                        seed,
+                        runs,
+                        engine,
+                        timer_space: flag && dse,
+                        timeout_ms,
+                        fleet_options,
+                        fault_seed,
+                        fault_rate,
+                        dt,
+                        batch,
+                        front_cap,
+                        explore: fault_rate,
+                    }),
+                    5 => Request::Cancel { job: seed },
+                    6 => Request::Stats,
+                    7 => Request::Ping,
                     _ => Request::Shutdown,
                 }
             },
