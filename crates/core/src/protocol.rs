@@ -488,6 +488,11 @@ macro_rules! job_spec {
                 $(fields.extend(self.$xfield.fields());)?
                 fields
             }
+
+            fn write_fields(&self, m: &mut Members) {
+                $(self.$field.write_member(stringify!($field), m);)*
+                $(self.$xfield.write_fields(m);)?
+            }
         }
     };
 }
@@ -715,11 +720,53 @@ enum Slot<'a> {
 
 /// A spec's fields, in wire order (see [`job_spec!`]).
 trait FieldList {
+    /// Each field, to be read into.
     fn fields(&mut self) -> Vec<(&'static str, Slot<'_>)>;
+    /// Writes each field as a frame member.
+    fn write_fields(&self, m: &mut Members);
+}
+
+/// A field's value as a frame member.
+trait Member {
+    /// Writes `"name":value`; an absent optional field writes nothing.
+    fn write_member(&self, name: &str, m: &mut Members);
+}
+
+/// Numbers and booleans are written as they display.
+macro_rules! display_member {
+    ($($ty:ty),*) => {$(
+        impl Member for $ty {
+            fn write_member(&self, name: &str, m: &mut Members) {
+                m.raw(name, self);
+            }
+        }
+    )*};
+}
+
+display_member!(u64, f64, bool);
+
+impl Member for String {
+    fn write_member(&self, name: &str, m: &mut Members) {
+        m.str_(name, self);
+    }
+}
+
+impl Member for EngineKind {
+    fn write_member(&self, name: &str, m: &mut Members) {
+        m.str_(name, self.name());
+    }
+}
+
+impl<T: Member> Member for Option<T> {
+    fn write_member(&self, name: &str, m: &mut Members) {
+        if let Some(value) = self {
+            value.write_member(name, m);
+        }
+    }
 }
 
 /// A job spec: its defaults, its fields and its cross-field checks.
-trait JobSpec: FieldList + Default + Clone {
+trait JobSpec: FieldList + Default {
     /// Checks beyond a single field's type and range.
     fn check(&self) -> Result<(), ProtocolError> {
         Ok(())
@@ -888,8 +935,10 @@ impl Request {
     /// from command-line options: `--name value` pairs and bare
     /// `--flag`s, with the dashes of a name read as the wire's
     /// underscores (`--fault-seed 3` sets `fault_seed`). Values are read
-    /// by the same field reader as [`Request::parse`], parsed from text
-    /// by each field's type; a bare flag sets a boolean field. Names no
+    /// by the same field reader as [`Request::parse`], each parsed from
+    /// its text by the field's type as `str::parse` reads it (so an
+    /// integer keeps all 64 bits and `--seed 3.0` is refused, where the
+    /// wire reads JSON numbers); a bare flag sets a boolean field. Names no
     /// job field carries (front-end options such as `--json`) are
     /// ignored, as unknown wire fields are.
     ///
@@ -963,18 +1012,7 @@ impl Members {
 
     fn job<J: JobSpec>(&mut self, kind: &str, job: &J) {
         self.str_("type", kind);
-        let mut job = job.clone();
-        for (name, slot) in job.fields() {
-            match slot {
-                Slot::U64(v) => self.raw(name, v),
-                Slot::F64(v) | Slot::Rate(v) | Slot::Step(v) => self.raw(name, v),
-                Slot::Bool(v) => self.raw(name, v),
-                Slot::OptU64(v) => v.iter().for_each(|v| self.raw(name, v)),
-                Slot::OptF64(v) => v.iter().for_each(|v| self.raw(name, v)),
-                Slot::OptStr(v) => v.iter().for_each(|v| self.str_(name, v)),
-                Slot::Engine(v) => self.str_(name, v.name()),
-            }
-        }
+        job.write_fields(self);
     }
 
     fn finish(mut self) -> String {
@@ -1000,13 +1038,16 @@ impl Fields<'_> {
             "pareto" => self.job().map(Request::Pareto),
             "stats" => Ok(Request::Stats),
             "ping" => Ok(Request::Ping),
-            "cancel" => Ok(Request::Cancel {
-                job: self
+            "cancel" => {
+                let job = self
                     .get("job")
-                    .ok_or_else(|| ProtocolError::missing_field("job"))?
-                    .as_u64()
-                    .ok_or_else(|| ProtocolError::bad_field("job", "expected a job number"))?,
-            }),
+                    .ok_or_else(|| ProtocolError::missing_field("job"))?;
+                Ok(Request::Cancel {
+                    job: self
+                        .read(job, Json::as_u64)
+                        .ok_or_else(|| ProtocolError::bad_field("job", "expected a job number"))?,
+                })
+            }
             "shutdown" => Ok(Request::Shutdown),
             other => Err(ProtocolError::new(
                 "unknown_type",
@@ -1015,16 +1056,23 @@ impl Fields<'_> {
         }
     }
 
-    /// The field's value, `None` when absent or `null`. Command-line
-    /// text reads as the JSON scalar it spells (`3`, `0.5`, `true`);
-    /// the string fields take their raw value instead.
-    fn get(&self, field: &str) -> Option<Json> {
-        match self.doc.get(field)? {
-            Json::Null => None,
-            Json::Str(text) if self.text => {
-                Some(parse_json(text).unwrap_or_else(|_| Json::Str(text.clone())))
-            }
-            value => Some(value.clone()),
+    /// The field's value, `None` when absent or `null`.
+    fn get(&self, field: &str) -> Option<&Json> {
+        self.doc
+            .get(field)
+            .filter(|value| !matches!(value, Json::Null))
+    }
+
+    /// A value as `T`: command-line text as `str::parse` reads it (an
+    /// integer keeps all 64 bits), a wire value by `from_json`.
+    fn read<T: std::str::FromStr>(
+        &self,
+        value: &Json,
+        from_json: impl Fn(&Json) -> Option<T>,
+    ) -> Option<T> {
+        match value {
+            Json::Str(text) if self.text => text.parse().ok(),
+            _ => from_json(value),
         }
     }
 
@@ -1036,15 +1084,16 @@ impl Fields<'_> {
             let Some(value) = self.get(name) else {
                 continue;
             };
-            let raw = self.doc.get(name).and_then(Json::as_str);
             let bad = |expected: &str| ProtocolError::bad_field(name, expected);
             let integer = || {
-                value
-                    .as_u64()
+                self.read(value, Json::as_u64)
                     .ok_or_else(|| bad("expected a non-negative integer"))
             };
-            let number = || value.as_f64().ok_or_else(|| bad("expected a number"));
-            let string = || raw.ok_or_else(|| bad("expected a string"));
+            let number = || {
+                self.read(value, Json::as_f64)
+                    .ok_or_else(|| bad("expected a number"))
+            };
+            let string = || value.as_str().ok_or_else(|| bad("expected a string"));
             match slot {
                 Slot::U64(x) => *x = integer()?,
                 Slot::OptU64(x) => *x = Some(integer()?),
@@ -1058,7 +1107,11 @@ impl Fields<'_> {
                     dt if dt >= 0.0 => *x = dt,
                     _ => return Err(bad("expected a step >= 0 (0 keeps the engine's own)")),
                 },
-                Slot::Bool(x) => *x = value.as_bool().ok_or_else(|| bad("expected a boolean"))?,
+                Slot::Bool(x) => {
+                    *x = self
+                        .read(value, Json::as_bool)
+                        .ok_or_else(|| bad("expected a boolean"))?
+                }
                 Slot::OptStr(x) => *x = Some(string()?.to_owned()),
                 Slot::Engine(x) => *x = string()?.parse().map_err(|e| bad(&format!("{e}")))?,
             }

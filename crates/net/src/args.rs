@@ -92,10 +92,28 @@ impl Args {
     ///
     /// An unknown command (`unknown_type`) or a bad option value.
     pub fn request(&self, command: &str) -> Result<Request, ProtocolError> {
+        self.request_ignoring(command, &[])
+    }
+
+    /// [`Args::request`] with the options named in `ignored` left
+    /// unread: those fields keep the job's default, given or not.
+    ///
+    /// # Errors
+    ///
+    /// As [`Args::request`].
+    pub fn request_ignoring(
+        &self,
+        command: &str,
+        ignored: &[&str],
+    ) -> Result<Request, ProtocolError> {
+        let read = |key: &str| !ignored.contains(&key);
         Request::from_options(
             command,
-            self.pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())),
-            self.flags.iter().map(String::as_str),
+            self.pairs
+                .iter()
+                .filter(|(k, _)| read(k))
+                .map(|(k, v)| (k.as_str(), v.as_str())),
+            self.flags.iter().map(String::as_str).filter(|k| read(k)),
         )
     }
 }
@@ -220,6 +238,46 @@ mod tests {
             of(&[]).request("frobnicate").unwrap_err().code,
             "unknown_type"
         );
+    }
+
+    #[test]
+    fn option_text_is_parsed_by_the_field_type() {
+        let run = |argv: &[&str]| match of(argv).request("run") {
+            Ok(Request::Run(job)) => Ok(job),
+            Ok(other) => panic!("not a run: {other:?}"),
+            Err(e) => Err(e),
+        };
+        // An integer keeps all 64 bits (2^53 + 1 is not an f64).
+        let seed = run(&["--seed", "9007199254740993"]).unwrap().seed;
+        assert_eq!(seed, 9_007_199_254_740_993);
+        assert_eq!(
+            run(&["--seed", &u64::MAX.to_string()]).unwrap().seed,
+            u64::MAX
+        );
+        assert_eq!(run(&["--fault-rate", ".5"]).unwrap().fault_rate, 0.5);
+        for (argv, field) in [
+            (["--seed", "3.0"], "seed"),
+            (["--runs", "1e1"], "runs"),
+            (["--seed", "18446744073709551616"], "seed"),
+        ] {
+            let err = run(&argv).unwrap_err();
+            assert_eq!((err.code, err.message.contains(field)), ("bad_field", true));
+        }
+        match of(&["--job", "9007199254740993"]).request("cancel") {
+            Ok(Request::Cancel { job }) => assert_eq!(job, 9_007_199_254_740_993),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn ignored_options_keep_their_defaults() {
+        let args = of(&["--id", "x", "--timeout-ms", "5", "--seed", "3", "--ideal"]);
+        let read = args.request_ignoring("network", &["id", "timeout-ms", "ideal"]);
+        let expected = wsn_dse::protocol::NetworkJob {
+            seed: 3,
+            ..Default::default()
+        };
+        assert_eq!(read.unwrap(), Request::Network(expected));
     }
 
     #[test]

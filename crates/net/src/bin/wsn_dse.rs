@@ -72,7 +72,7 @@ use std::time::Duration;
 
 use harvester::VibrationProfile;
 use numkit::rng::Rng;
-use wsn_dse::protocol::{NetworkJob, Request, RunJob};
+use wsn_dse::protocol::{NetworkJob, ProtocolError, Request, RunJob};
 use wsn_dse::{coded_to_config, paper_design_space, DseFlow, EvalCache, EvalKey, SimPool};
 use wsn_net::args::Args;
 use wsn_net::exec::{self, ExecContext, JobReport};
@@ -160,10 +160,17 @@ fn context_from(args: &Args, attach_cache: bool) -> Result<ExecContext, String> 
     })
 }
 
+/// The job `command` the options describe. `--id` and `--timeout-ms`
+/// are `wsn_client`'s: here they are not read, so `--eval-timeout` stays
+/// the one per-evaluation budget.
+fn job_request(command: &str, args: &Args) -> Result<Request, ProtocolError> {
+    args.request_ignoring(command, &["id", "timeout-ms"])
+}
+
 /// Runs one job command (`run`, `simulate`, `faults`, `network`,
 /// `pareto`) through the shared executor and prints its report.
 fn cmd_job(command: &str, args: &Args) -> Result<(), String> {
-    let request = match args.request(command) {
+    let request = match job_request(command, args) {
         Ok(request) if request.is_job() => request,
         Err(e) if e.code != "unknown_type" => return Err(e.to_string()),
         _ => return Err(format!("unknown command {command}\n{}", usage())),
@@ -225,7 +232,7 @@ fn cmd_job(command: &str, args: &Args) -> Result<(), String> {
 /// The flow of the `run` job the options describe: what `sweep` and
 /// `refine` explore.
 fn flow_from(args: &Args) -> Result<DseFlow, String> {
-    match args.request("run").map_err(|e| e.to_string())? {
+    match job_request("run", args).map_err(|e| e.to_string())? {
         Request::Run(job) => Ok(exec::dse_flow(&context_from(args, true)?, &job)),
         _ => unreachable!("a run request"),
     }
