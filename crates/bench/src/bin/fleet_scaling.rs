@@ -28,17 +28,6 @@ use numkit::rng::Rng;
 use wsn_net::{ArbitrationMethod, FleetSpec, FleetTopology, NetworkSim, NodeTrace, RadioChannel};
 use wsn_node::NodeConfig;
 
-/// Parses a trailing `--jobs N` argument; `0` (the default) means "all
-/// available cores".
-fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 /// A city-scale fleet: ring radius grows with the node count so the
 /// arc spacing stays ~π m, and the sink hears every node (collisions,
 /// not range, limit goodput).
@@ -76,7 +65,7 @@ fn synthetic_traces(nodes: usize, horizon_s: f64) -> (Vec<(f64, f64)>, Vec<Vec<f
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let jobs = jobs_from_args();
+    let jobs = wsn_bench::cli_args()?.value("jobs")?.unwrap_or(0);
     let sim = NetworkSim::new().jobs(jobs);
     let node = NodeConfig::original();
 

@@ -44,14 +44,9 @@ fn row(m: &Measurement) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_linalg.json".to_owned());
+    let args = wsn_bench::cli_args()?;
+    let quick = args.has_flag("quick");
+    let out = args.get("out").unwrap_or("BENCH_linalg.json");
     let budget = Duration::from_millis(if quick { 25 } else { 250 });
 
     let model = ModelSpec::quadratic(3);
@@ -172,7 +167,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \"candidates\":{n},\"quick\":{quick},\"rows\":[{}]}}\n",
         rows.join(",")
     );
-    std::fs::write(&out, &json)?;
+    std::fs::write(out, &json)?;
     println!("wrote {out}");
     Ok(())
 }

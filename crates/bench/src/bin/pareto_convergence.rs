@@ -125,14 +125,9 @@ fn compare(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pareto.json".to_owned());
+    let args = wsn_bench::cli_args()?;
+    let quick = args.has_flag("quick");
+    let out = args.get("out").unwrap_or("BENCH_pareto.json");
     // Quick mode shortens the horizons; the comparison logic is
     // identical, so the gate still exercises the full claim.
     let (node_horizon, fleet_horizon, fleet_nodes) = if quick {
@@ -190,7 +185,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         single.row(),
         fleet.row()
     );
-    std::fs::write(&out, format!("{line}\n"))?;
+    std::fs::write(out, format!("{line}\n"))?;
     println!("wrote {out}");
 
     for v in [&single, &fleet] {

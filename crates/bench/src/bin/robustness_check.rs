@@ -12,19 +12,8 @@
 use wsn_dse::robustness::{drift_robustness, frequency_robustness};
 use wsn_node::{NodeConfig, SystemConfig};
 
-/// Parses a trailing `--jobs N` argument; `0` (the default) means "all
-/// available cores".
-fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let jobs = jobs_from_args();
+    let jobs = wsn_bench::cli_args()?.value("jobs")?.unwrap_or(0);
     let template = SystemConfig::paper(NodeConfig::original());
     let configs = [
         ("original", NodeConfig::original()),

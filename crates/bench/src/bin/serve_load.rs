@@ -170,14 +170,9 @@ fn run_phase(addr: SocketAddr, clients: usize, jobs: &[Request]) -> PhaseStats {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_owned());
+    let args = wsn_bench::cli_args().expect("command-line options");
+    let quick = args.has_flag("quick");
+    let out = args.get("out").unwrap_or("BENCH_serve.json");
     let (clients, jobs, horizon) = if quick { (2, 4, 300.0) } else { (4, 8, 450.0) };
 
     let server = Server::bind(
@@ -226,7 +221,7 @@ fn main() {
         cold.row("cold"),
         warm.row("warm"),
     );
-    std::fs::write(&out, format!("{doc}\n")).expect("write bench output");
+    std::fs::write(out, format!("{doc}\n")).expect("write bench output");
     println!("{doc}");
 
     // The regression gate: a warm pass that misses the shared cache

@@ -10,19 +10,9 @@ use wsn_bench::{fmt_hz, PAPER_TABLE6};
 use wsn_dse::DseFlow;
 use wsn_node::{PowerBudget, SystemConfig};
 
-/// Parses a trailing `--jobs N` argument; `0` (the default) means "all
-/// available cores".
-fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let report = DseFlow::paper().jobs(jobs_from_args()).run()?;
+    let jobs = wsn_bench::cli_args()?.value("jobs")?.unwrap_or(0);
+    let report = DseFlow::paper().jobs(jobs).run()?;
 
     println!("TABLE VI: optimisation results");
     wsn_bench::rule(96);

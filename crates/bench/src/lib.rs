@@ -22,6 +22,16 @@ pub const PAPER_TABLE6: [(&str, f64, f64, f64, u64); 3] = [
     ("genetic algorithm", 125e3, 600.0, 3.065, 894),
 ];
 
+/// This binary's command-line options (`--jobs N`, `--quick`,
+/// `--out PATH`), read by the `wsn_dse` CLI's parser.
+///
+/// # Errors
+///
+/// A positional argument.
+pub fn cli_args() -> Result<wsn_net::args::Args, String> {
+    wsn_net::args::Args::parse(&std::env::args().skip(1).collect::<Vec<_>>())
+}
+
 /// Prints a horizontal rule sized to `width`.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));

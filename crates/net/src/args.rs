@@ -1,45 +1,56 @@
-//! Minimal `--key value` / `--flag` argument parser shared by the
-//! `wsn_dse` and `wsn_client` binaries. A token is a value when it
-//! follows a `--key` and does not itself start with `--`; everything
-//! else must be a flag. No external dependencies, by design.
+//! Minimal argument parser shared by the `wsn_dse` and `wsn_client`
+//! binaries: one command word plus `--key value` pairs and bare
+//! `--flag`s. A token is a value when it follows a `--key` and does not
+//! itself start with `--`; the first other token, wherever it stands, is
+//! the command. No external dependencies, by design.
 //!
 //! [`Args::request`] is the one argv front end of the job spec: both
 //! binaries turn their options into a [`Request`] through it, and it
 //! reads them with the wire protocol's own field reader.
 
+use std::fmt;
+use std::str::FromStr;
+
 use wsn_dse::protocol::{ProtocolError, Request};
 
-/// Parsed arguments: `--key value` pairs plus bare `--flag`s.
+/// Parsed arguments: the command plus `--key value` pairs and bare
+/// `--flag`s.
 pub struct Args {
+    command: Option<String>,
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
 }
 
 impl Args {
-    /// Parses `argv` (without the program and subcommand names).
+    /// Parses `argv` (without the program name).
     ///
     /// # Errors
     ///
-    /// Rejects positional arguments — every token must be a `--option`
-    /// or an option's value.
+    /// Rejects a second positional argument — besides the command, every
+    /// token must be a `--option` or an option's value.
     pub fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = &argv[i];
-            let Some(key) = arg.strip_prefix("--") else {
-                return Err(format!("unexpected positional argument: {arg}"));
-            };
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                pairs.push((key.to_owned(), argv[i + 1].clone()));
-                i += 2;
-            } else {
-                flags.push(key.to_owned());
-                i += 1;
+        let mut args = Args {
+            command: None,
+            pairs: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut tokens = argv.iter().peekable();
+        while let Some(arg) = tokens.next() {
+            match arg.strip_prefix("--") {
+                None if args.command.is_none() => args.command = Some(arg.clone()),
+                None => return Err(format!("unexpected positional argument: {arg}")),
+                Some(key) => match tokens.next_if(|v| !v.starts_with("--")) {
+                    Some(value) => args.pairs.push((key.to_owned(), value.clone())),
+                    None => args.flags.push(key.to_owned()),
+                },
             }
         }
-        Ok(Args { pairs, flags })
+        Ok(args)
+    }
+
+    /// The command word, when given.
+    pub fn command(&self) -> Option<&str> {
+        self.command.as_deref()
     }
 
     /// The raw value of `--key`, when given.
@@ -50,32 +61,18 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The value of `--key` as a float, or `default` when absent.
+    /// The value of `--key` parsed as a `T`, when given.
     ///
     /// # Errors
     ///
-    /// Reports a non-numeric value.
-    pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: expected a number, got {v}")),
-            None => Ok(default),
-        }
-    }
-
-    /// The value of `--key` as an integer, or `default` when absent.
-    ///
-    /// # Errors
-    ///
-    /// Reports a non-integer value.
-    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.get(key) {
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: expected an integer, got {v}")),
-            None => Ok(default),
-        }
+    /// Reports a value that does not parse.
+    pub fn value<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: fmt::Display,
+    {
+        self.get(key)
+            .map(|v| v.parse().map_err(|e| format!("--{key}: {e} (got {v})")))
+            .transpose()
     }
 
     /// Whether the bare flag `--key` was given.
@@ -86,26 +83,13 @@ impl Args {
     /// The request of type `command` these options describe (see
     /// [`Request::from_options`]): `--fault-seed 3` sets the job's
     /// `fault_seed`, a bare `--dse` sets `dse`, and options no job field
-    /// carries are left to the caller.
+    /// carries are left to the caller. The options named in `ignored`
+    /// are not read: those fields keep the job's default, given or not.
     ///
     /// # Errors
     ///
     /// An unknown command (`unknown_type`) or a bad option value.
-    pub fn request(&self, command: &str) -> Result<Request, ProtocolError> {
-        self.request_ignoring(command, &[])
-    }
-
-    /// [`Args::request`] with the options named in `ignored` left
-    /// unread: those fields keep the job's default, given or not.
-    ///
-    /// # Errors
-    ///
-    /// As [`Args::request`].
-    pub fn request_ignoring(
-        &self,
-        command: &str,
-        ignored: &[&str],
-    ) -> Result<Request, ProtocolError> {
+    pub fn request(&self, command: &str, ignored: &[&str]) -> Result<Request, ProtocolError> {
         let read = |key: &str| !ignored.contains(&key);
         Request::from_options(
             command,
@@ -128,12 +112,22 @@ mod tests {
 
     #[test]
     fn pairs_flags_and_defaults() {
-        let args = of(&["--seed", "7", "--json", "--rate", "0.25"]);
-        assert_eq!(args.get_u64("seed", 12).unwrap(), 7);
-        assert_eq!(args.get_u64("runs", 10).unwrap(), 10);
-        assert_eq!(args.get_f64("rate", 0.0).unwrap(), 0.25);
+        let args = of(&[
+            "--addr", "h", "run", "--seed", "7", "--json", "--rate", "0.25",
+        ]);
+        assert_eq!(args.command(), Some("run"));
+        assert_eq!(args.value("seed").unwrap().unwrap_or(12), 7);
+        assert_eq!(args.value("runs").unwrap().unwrap_or(10), 10);
+        assert_eq!(args.value("rate").unwrap().unwrap_or(0.0), 0.25);
+        assert!(args.value::<u64>("rate").is_err());
         assert!(args.has_flag("json"));
         assert!(!args.has_flag("trace"));
+    }
+
+    #[test]
+    fn positional_arguments_are_rejected() {
+        let argv = ["run", "stray"].map(str::to_owned);
+        assert!(Args::parse(&argv).is_err());
     }
 
     /// Every field of every job type set away from its default, as
@@ -191,7 +185,7 @@ mod tests {
         let defaults = FULL.map(|(kind, _)| (kind, ""));
         for (kind, row) in defaults.into_iter().chain(FULL) {
             let (argv, wire) = both_forms(kind, row);
-            let from_argv = Args::parse(&argv).unwrap().request(kind).unwrap();
+            let from_argv = Args::parse(&argv).unwrap().request(kind, &[]).unwrap();
             assert_eq!(from_argv, Request::parse(&wire).unwrap(), "{wire}");
         }
     }
@@ -204,7 +198,7 @@ mod tests {
         };
         for (kind, row) in FULL {
             let full = members(Request::parse(&both_forms(kind, row).1).unwrap());
-            let default = members(of(&[]).request(kind).unwrap());
+            let default = members(of(&[]).request(kind, &[]).unwrap());
             // Optional fields are absent by default; every field of the
             // full row is present and differs from its default.
             assert!(full.len() > default.len(), "{kind}");
@@ -230,59 +224,50 @@ mod tests {
             ("pareto", "--dt -1", "dt"),
         ] {
             let argv: Vec<String> = argv.split_whitespace().map(str::to_owned).collect();
-            let err = Args::parse(&argv).unwrap().request(kind).unwrap_err();
+            let err = Args::parse(&argv).unwrap().request(kind, &[]).unwrap_err();
             assert_eq!(err.code, "bad_field", "{kind} {argv:?}");
             assert!(err.message.contains(field), "{kind} {argv:?}: {err}");
         }
         assert_eq!(
-            of(&[]).request("frobnicate").unwrap_err().code,
+            of(&[]).request("frobnicate", &[]).unwrap_err().code,
             "unknown_type"
         );
     }
 
     #[test]
     fn option_text_is_parsed_by_the_field_type() {
-        let run = |argv: &[&str]| match of(argv).request("run") {
-            Ok(Request::Run(job)) => Ok(job),
-            Ok(other) => panic!("not a run: {other:?}"),
-            Err(e) => Err(e),
+        let run = |argv: &[&str]| match of(argv).request("run", &[]) {
+            Ok(Request::Run(job)) => Ok((job.seed, job.fault_rate)),
+            other => other.map(|r| panic!("not a run: {r:?}")),
         };
-        // An integer keeps all 64 bits (2^53 + 1 is not an f64).
-        let seed = run(&["--seed", "9007199254740993"]).unwrap().seed;
+        // An integer keeps all 64 bits: 2^53 + 1 is no f64.
+        let seed = run(&["--seed", "9007199254740993"]).unwrap().0;
         assert_eq!(seed, 9_007_199_254_740_993);
-        assert_eq!(
-            run(&["--seed", &u64::MAX.to_string()]).unwrap().seed,
-            u64::MAX
-        );
-        assert_eq!(run(&["--fault-rate", ".5"]).unwrap().fault_rate, 0.5);
-        for (argv, field) in [
-            (["--seed", "3.0"], "seed"),
-            (["--runs", "1e1"], "runs"),
-            (["--seed", "18446744073709551616"], "seed"),
+        assert_eq!(run(&["--fault-rate", ".5"]).unwrap().1, 0.5);
+        for argv in [
+            ["--seed", "3.0"],
+            ["--runs", "1e1"],
+            ["--seed", "18446744073709551616"],
         ] {
-            let err = run(&argv).unwrap_err();
-            assert_eq!((err.code, err.message.contains(field)), ("bad_field", true));
+            assert_eq!(run(&argv).unwrap_err().code, "bad_field", "{argv:?}");
         }
-        match of(&["--job", "9007199254740993"]).request("cancel") {
-            Ok(Request::Cancel { job }) => assert_eq!(job, 9_007_199_254_740_993),
-            other => panic!("{other:?}"),
-        }
+        let cancel = of(&["--job", "9007199254740993"]).request("cancel", &[]);
+        assert_eq!(
+            cancel.unwrap(),
+            Request::Cancel {
+                job: 9_007_199_254_740_993
+            }
+        );
     }
 
     #[test]
     fn ignored_options_keep_their_defaults() {
         let args = of(&["--id", "x", "--timeout-ms", "5", "--seed", "3", "--ideal"]);
-        let read = args.request_ignoring("network", &["id", "timeout-ms", "ideal"]);
+        let read = args.request("network", &["id", "timeout-ms", "ideal"]);
         let expected = wsn_dse::protocol::NetworkJob {
             seed: 3,
             ..Default::default()
         };
         assert_eq!(read.unwrap(), Request::Network(expected));
-    }
-
-    #[test]
-    fn positional_arguments_are_rejected() {
-        let argv = vec!["stray".to_owned()];
-        assert!(Args::parse(&argv).is_err());
     }
 }

@@ -62,17 +62,21 @@ fn send_line(stream: &mut TcpStream, line: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot send request: {e}"))
 }
 
+/// A line reader over the connection's replies.
+fn reader_of(stream: &TcpStream) -> Result<BufReader<TcpStream>, String> {
+    stream
+        .try_clone()
+        .map(BufReader::new)
+        .map_err(|e| format!("cannot clone connection: {e}"))
+}
+
 /// Runs one job to its terminal frame. Prints the raw report (or, with
 /// `--frames`, every frame) on stdout; failures go to stderr.
 fn run_job(request: &Request, args: &Args) -> Result<ExitCode, String> {
     let mut stream = connect(args)?;
     send_line(&mut stream, &request.to_json())?;
     let show_frames = args.has_flag("frames");
-    let reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| format!("cannot clone connection: {e}"))?,
-    );
+    let reader = reader_of(&stream)?;
     for line in reader.lines() {
         let line = line.map_err(|e| format!("connection lost: {e}"))?;
         if show_frames {
@@ -107,11 +111,7 @@ fn run_job(request: &Request, args: &Args) -> Result<ExitCode, String> {
 fn run_control(request: &Request, args: &Args) -> Result<ExitCode, String> {
     let mut stream = connect(args)?;
     send_line(&mut stream, &request.to_json())?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| format!("cannot clone connection: {e}"))?,
-    );
+    let mut reader = reader_of(&stream)?;
     let mut line = String::new();
     let n = reader
         .read_line(&mut line)
@@ -140,11 +140,7 @@ fn run_batch(args: &Args) -> Result<ExitCode, String> {
         expected += 1;
         send_line(&mut stream, &line)?;
     }
-    let reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| format!("cannot clone connection: {e}"))?,
-    );
+    let reader = reader_of(&stream)?;
     let mut terminal = 0usize;
     for line in reader.lines() {
         let line = line.map_err(|e| format!("connection lost: {e}"))?;
@@ -177,38 +173,21 @@ fn run_batch(args: &Args) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // The command may appear after global options; find the first token
-    // that is not an option or an option's value.
-    let mut command = None;
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        if command.is_none() && !argv[i].starts_with("--") {
-            command = Some(argv[i].clone());
-        } else {
-            rest.push(argv[i].clone());
-            if argv[i].starts_with("--") && i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                rest.push(argv[i + 1].clone());
-                i += 1;
-            }
-        }
-        i += 1;
-    }
-    let Some(command) = command else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let args = match Args::parse(&rest) {
+    let args = match Args::parse(&argv) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
+    let Some(command) = args.command() else {
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
+    };
     let result = if command == "batch" {
         run_batch(&args)
     } else {
-        match args.request(&command) {
+        match args.request(command, &[]) {
             Ok(request) if request.is_job() => run_job(&request, &args),
             Ok(request) => run_control(&request, &args),
             Err(e) if e.code == "unknown_type" => {

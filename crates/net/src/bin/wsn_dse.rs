@@ -64,15 +64,13 @@
 //! per-evaluation wall-clock budget and `--eval-retries N` allows N
 //! retries with deterministic backoff.
 
-use std::fmt;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use harvester::VibrationProfile;
 use numkit::rng::Rng;
-use wsn_dse::protocol::{NetworkJob, ProtocolError, Request, RunJob};
+use wsn_dse::protocol::{json_string, NetworkJob, ProtocolError, Request, RunJob};
 use wsn_dse::{coded_to_config, paper_design_space, DseFlow, EvalCache, EvalKey, SimPool};
 use wsn_net::args::Args;
 use wsn_net::exec::{self, ExecContext, JobReport};
@@ -115,19 +113,9 @@ fn usage() -> &'static str {
      --jobs 0 (default) uses all cores; results are identical at any job count"
 }
 
-/// The value of option `--name`, parsed, when given.
-fn option<T: FromStr>(args: &Args, name: &str) -> Result<Option<T>, String>
-where
-    T::Err: fmt::Display,
-{
-    args.get(name)
-        .map(|v| v.parse().map_err(|e| format!("--{name}: {e} (got {v})")))
-        .transpose()
-}
-
 /// The `--eval-timeout` per-evaluation wall-clock budget, when given.
 fn eval_deadline_from(args: &Args) -> Result<Option<Duration>, String> {
-    match option::<f64>(args, "eval-timeout")? {
+    match args.value::<f64>("eval-timeout")? {
         Some(secs) if !(secs > 0.0 && secs.is_finite()) => {
             Err("--eval-timeout: expected a positive number of seconds".to_owned())
         }
@@ -148,15 +136,15 @@ fn context_from(args: &Args, attach_cache: bool) -> Result<ExecContext, String> 
             );
         }
     }
-    let jitter_seed = args.get_u64("seed", RunJob::default().seed)?;
+    let jitter_seed = args.value("seed")?.unwrap_or(RunJob::default().seed);
     Ok(ExecContext {
-        jobs: args.get_u64("jobs", 0)? as usize,
+        jobs: args.value("jobs")?.unwrap_or(0),
         cache,
-        retry: exec::retry_policy(option(args, "eval-retries")?, jitter_seed),
+        retry: exec::retry_policy(args.value("eval-retries")?, jitter_seed),
         deadline: eval_deadline_from(args)?,
         ladder: None,
-        linalg: option(args, "linalg")?.unwrap_or_default(),
-        arbitration: option(args, "arbitration")?.unwrap_or_default(),
+        linalg: args.value("linalg")?.unwrap_or_default(),
+        arbitration: args.value("arbitration")?.unwrap_or_default(),
     })
 }
 
@@ -164,7 +152,7 @@ fn context_from(args: &Args, attach_cache: bool) -> Result<ExecContext, String> 
 /// are `wsn_client`'s: here they are not read, so `--eval-timeout` stays
 /// the one per-evaluation budget.
 fn job_request(command: &str, args: &Args) -> Result<Request, ProtocolError> {
-    args.request_ignoring(command, &["id", "timeout-ms"])
+    args.request(command, &["id", "timeout-ms"])
 }
 
 /// Runs one job command (`run`, `simulate`, `faults`, `network`,
@@ -249,7 +237,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             ))
         }
     };
-    let samples = args.get_u64("samples", 21)? as usize;
+    let samples = args.value("samples")?.unwrap_or(21);
     let flow = flow_from(args)?;
     let design = flow.build_design().map_err(|e| e.to_string())?;
     let responses = flow.simulate_design(&design).map_err(|e| e.to_string())?;
@@ -272,7 +260,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_refine(args: &Args) -> Result<(), String> {
-    let shrink = args.get_f64("shrink", 0.35)?;
+    let shrink = args.value("shrink")?.unwrap_or(0.35);
     let flow = flow_from(args)?;
     let first = flow.run().map_err(|e| e.to_string())?;
     println!("== phase 1 ==\n{first}\n");
@@ -290,19 +278,14 @@ fn cmd_refine(args: &Args) -> Result<(), String> {
 /// failures through the fault-tolerant pool. Exits 0 as long as the
 /// harness isolates or absorbs every injected failure.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
-    let seed = args.get_u64("seed", 7)?;
-    let rate = args.get_f64("chaos-rate", 0.25)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!(
-            "--chaos-rate: expected a rate in [0, 1], got {rate}"
-        ));
-    }
-    let n_points = args.get_u64("points", 24)? as usize;
+    let seed = args.value("seed")?.unwrap_or(7);
+    let rate = args.value("chaos-rate")?.unwrap_or(0.25);
+    let n_points: usize = args.value("points")?.unwrap_or(24);
     if n_points == 0 {
         return Err("--points: expected at least one storm point".to_owned());
     }
-    let f0 = args.get_f64("f0", RunJob::default().f0)?;
-    let horizon = args.get_f64("horizon", 600.0)?;
+    let f0 = args.value("f0")?.unwrap_or(RunJob::default().f0);
+    let horizon = args.value("horizon")?.unwrap_or(600.0);
     let ctx = context_from(args, false)?;
 
     let mut template = SystemConfig::paper(NodeConfig::original())
@@ -359,14 +342,11 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
             .failures
             .iter()
             .map(|f| {
-                let error = f
-                    .error
-                    .to_string()
-                    .replace('\\', "\\\\")
-                    .replace('"', "\\\"");
                 format!(
-                    "{{\"index\":{},\"attempts\":{},\"error\":\"{error}\"}}",
-                    f.index, f.attempts
+                    "{{\"index\":{},\"attempts\":{},\"error\":{}}}",
+                    f.index,
+                    f.attempts,
+                    json_string(&f.error.to_string())
                 )
             })
             .collect();
@@ -409,20 +389,14 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 /// harnesses racing the ephemeral port), then serves until a client
 /// sends `shutdown`.
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let rate = args.get_f64("chaos-rate", 0.0)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!(
-            "--chaos-rate: expected a rate in [0, 1], got {rate}"
-        ));
-    }
     let config = wsn_net::ServeConfig {
-        workers: args.get_u64("workers", 2)? as usize,
-        jobs: args.get_u64("jobs", 0)? as usize,
+        workers: args.value("workers")?.unwrap_or(2),
+        jobs: args.value("jobs")?.unwrap_or(0),
         cache_dir: args.get("cache-dir").map(std::path::PathBuf::from),
-        chaos_rate: rate,
-        chaos_seed: args.get_u64("chaos-seed", 7)?,
+        chaos_rate: args.value("chaos-rate")?.unwrap_or(0.0),
+        chaos_seed: args.value("chaos-seed")?.unwrap_or(7),
         eval_timeout: eval_deadline_from(args)?,
-        eval_retries: option(args, "eval-retries")?,
+        eval_retries: args.value("eval-retries")?,
     };
     let workers = config.workers;
     let server = wsn_net::Server::bind(args.get("addr").unwrap_or("127.0.0.1:0"), config)?;
@@ -439,18 +413,18 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = argv.split_first() else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let args = match Args::parse(rest) {
+    let args = match Args::parse(&argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
+    let Some(command) = args.command() else {
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
+    };
+    let result = match command {
         "sweep" => cmd_sweep(&args),
         "refine" => cmd_refine(&args),
         "chaos" => cmd_chaos(&args),

@@ -123,13 +123,16 @@ pub fn retry_policy(retries: Option<u32>, jitter_seed: u64) -> RetryPolicy {
 ///
 /// # Errors
 ///
-/// Propagates design, simulation and fit errors.
+/// A rate outside `[0, 1]`; design, simulation and fit errors.
 pub fn chaos_ladder(
     seed: u64,
     rate: f64,
     template: &SystemConfig,
     linalg: Backend,
 ) -> Result<Arc<FallbackEngine>, String> {
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("chaos rate must be in [0, 1], got {rate}"));
+    }
     let space = paper_design_space();
     let model = ModelSpec::quadratic(space.dimension());
     let design = DOptimal::new(space.dimension(), model.clone())
