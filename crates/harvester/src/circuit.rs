@@ -1,3 +1,5 @@
+use std::cell::Cell;
+
 use msim::OdeSystem;
 
 use crate::{
@@ -51,6 +53,12 @@ pub struct HarvesterCircuit {
     damping_per_mass: f64,
     /// Use Shockley diodes instead of the constant-drop model.
     shockley_diodes: bool,
+    /// Last `(t, acceleration(t))` evaluated. RK4 asks for the base
+    /// acceleration twice at `t + dt/2` and once at the step end, which is
+    /// the next step's start, so one entry halves the `sin` calls. The
+    /// profile is a pure function of `t` and never changes after
+    /// construction, so a hit returns exactly what a fresh call would.
+    accel_memo: Cell<Option<(f64, f64)>>,
 }
 
 impl HarvesterCircuit {
@@ -73,6 +81,7 @@ impl HarvesterCircuit {
             omega0_sq: 0.0,
             damping_per_mass: 0.0,
             shockley_diodes: false,
+            accel_memo: Cell::new(None),
         };
         circuit.set_actuator_position(0);
         circuit
@@ -157,6 +166,19 @@ impl HarvesterCircuit {
         &mut self.loads
     }
 
+    /// Base acceleration at `t`, served from the one-entry memo when `t`
+    /// is bitwise the last time asked for.
+    fn acceleration(&self, t: f64) -> f64 {
+        if let Some((t_memo, accel)) = self.accel_memo.get() {
+            if t_memo.to_bits() == t.to_bits() {
+                return accel;
+            }
+        }
+        let accel = self.vibration.acceleration(t);
+        self.accel_memo.set(Some((t, accel)));
+        accel
+    }
+
     /// Instantaneous bridge charging current for EMF `emf` at store voltage
     /// `v` (A).
     fn bridge_current(&self, emf: f64, v: f64) -> f64 {
@@ -176,7 +198,7 @@ impl OdeSystem for HarvesterCircuit {
 
     fn derivatives(&self, t: f64, x: &[f64], dxdt: &mut [f64]) {
         let (z, zdot, v) = (x[0], x[1], x[2].max(0.0));
-        let accel = self.vibration.acceleration(t);
+        let accel = self.acceleration(t);
         let emf = self.generator.coupling() * zdot;
         let i_bridge = self.bridge_current(emf, v);
         // The coil current opposes the motion: F = −Γ·i·sign(ż).

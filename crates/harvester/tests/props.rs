@@ -2,7 +2,11 @@
 //! steady-state energy bounds and tuning monotonicity across randomly
 //! drawn operating points.
 
-use harvester::{DiodeBridge, Microgenerator, Supercapacitor, TuningMechanism, VibrationProfile};
+use harvester::{
+    DiodeBridge, HarvesterCircuit, Microgenerator, Supercapacitor, TuningMechanism,
+    VibrationProfile,
+};
+use msim::OdeSystem;
 use proptest::prelude::*;
 
 proptest! {
@@ -153,5 +157,44 @@ proptest! {
         prop_assert_eq!(v.dominant_frequency(query), expect);
         // Instantaneous acceleration is bounded by the amplitude.
         prop_assert!(v.acceleration(query).abs() <= 1.0 + 1e-12);
+    }
+
+    /// The circuit's one-entry acceleration memo is invisible: one
+    /// long-lived circuit answers any sequence of `derivatives` calls
+    /// (repeated times, RK4's half-step pattern, interleavings, `±0.0`,
+    /// segment and blackout edges) bit for bit like a freshly built
+    /// circuit asked once.
+    #[test]
+    fn acceleration_memo_matches_a_fresh_circuit(
+        f0 in 70.0..90.0f64,
+        t_step in 0.0..0.01f64,
+        t0 in 0.0..0.01f64,
+        h in 1e-5..1e-3f64,
+        queries in prop::collection::vec(
+            (0usize..10, -1e-3..1e-3f64, -0.05..0.05f64, 0.0..4.0f64),
+            1..64,
+        ),
+    ) {
+        let build = || {
+            let profile = VibrationProfile::stepped(0.59, vec![(0.0, f0), (t_step, f0 + 5.0)])
+                .with_blackouts(vec![(t0 + h, t0 + 2.0 * h)]);
+            let mut circuit = HarvesterCircuit::paper(profile);
+            circuit.set_actuator_position(circuit.tuning().position_for_frequency(f0));
+            circuit
+        };
+        let long_lived = build();
+        for (k, z, zdot, v) in queries {
+            let t = match k {
+                0 => 0.0,
+                1 => -0.0,
+                2 => t_step,
+                _ => t0 + (k - 3) as f64 * 0.5 * h,
+            };
+            let x = [z, zdot, v];
+            let (mut memo, mut fresh) = ([0.0; 3], [0.0; 3]);
+            long_lived.derivatives(t, &x, &mut memo);
+            build().derivatives(t, &x, &mut fresh);
+            prop_assert_eq!(memo.map(f64::to_bits), fresh.map(f64::to_bits));
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! solver needs:
 //!
 //! * [`euler_step`], [`rk4_step`] — fixed-step explicit one-step methods;
-//!   RK4 is the workhorse of the full-system simulation.
+//!   RK4 is the workhorse of the full-system simulation, which steps it
+//!   allocation-free through [`rk4_step_in`].
 //! * [`Rkf45`] — adaptive Runge–Kutta–Fehlberg 4(5) with error control,
 //!   used when the dynamics stiffness varies (e.g. during retuning
 //!   transients).
@@ -30,6 +31,9 @@ pub fn euler_step<S: OdeSystem + ?Sized>(sys: &S, t: f64, x: &mut [f64], dt: f64
 
 /// Advances `x` by one classical fourth-order Runge–Kutta step of size `dt`.
 ///
+/// Allocates its stage buffers on every call; stepping loops should hold
+/// one scratch buffer and call [`rk4_step_in`] instead.
+///
 /// # Example
 ///
 /// ```
@@ -46,27 +50,49 @@ pub fn euler_step<S: OdeSystem + ?Sized>(sys: &S, t: f64, x: &mut [f64], dt: f64
 /// assert!((x[0] - (-0.1_f64).exp()).abs() < 1e-6);
 /// ```
 pub fn rk4_step<S: OdeSystem + ?Sized>(sys: &S, t: f64, x: &mut [f64], dt: f64) {
+    let mut work = vec![0.0; 5 * sys.dim()];
+    rk4_step_in(sys, t, x, dt, &mut work);
+}
+
+/// Advances `x` by one classical fourth-order Runge–Kutta step of size
+/// `dt`, using caller-owned `work` (at least `5 * sys.dim()` values) for
+/// the four stage derivatives and the stage state, so a stepping loop
+/// allocates nothing per step.
+///
+/// The contents of `work` on entry are ignored; the result is
+/// bit-identical to [`rk4_step`].
+///
+/// # Panics
+///
+/// Panics if `work` holds fewer than `5 * sys.dim()` values.
+pub fn rk4_step_in<S: OdeSystem + ?Sized>(
+    sys: &S,
+    t: f64,
+    x: &mut [f64],
+    dt: f64,
+    work: &mut [f64],
+) {
     let n = sys.dim();
     debug_assert_eq!(x.len(), n);
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
+    let (k1, work) = work.split_at_mut(n);
+    let (k2, work) = work.split_at_mut(n);
+    let (k3, work) = work.split_at_mut(n);
+    let (k4, work) = work.split_at_mut(n);
+    let tmp = &mut work[..n];
 
-    sys.derivatives(t, x, &mut k1);
+    sys.derivatives(t, x, k1);
     for i in 0..n {
         tmp[i] = x[i] + 0.5 * dt * k1[i];
     }
-    sys.derivatives(t + 0.5 * dt, &tmp, &mut k2);
+    sys.derivatives(t + 0.5 * dt, tmp, k2);
     for i in 0..n {
         tmp[i] = x[i] + 0.5 * dt * k2[i];
     }
-    sys.derivatives(t + 0.5 * dt, &tmp, &mut k3);
+    sys.derivatives(t + 0.5 * dt, tmp, k3);
     for i in 0..n {
         tmp[i] = x[i] + dt * k3[i];
     }
-    sys.derivatives(t + dt, &tmp, &mut k4);
+    sys.derivatives(t + dt, tmp, k4);
     for i in 0..n {
         x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
@@ -95,10 +121,11 @@ pub fn rk4_integrate<S: OdeSystem + ?Sized>(
     if t1 < t0 {
         return Err(SimError::InvalidArgument("rk4_integrate: t1 < t0"));
     }
+    let mut work = vec![0.0; 5 * sys.dim()];
     let mut t = t0;
     while t < t1 {
         let step = dt.min(t1 - t);
-        rk4_step(sys, t, x, step);
+        rk4_step_in(sys, t, x, step, &mut work);
         t += step;
         if !x.iter().all(|v| v.is_finite()) {
             return Err(SimError::NonFiniteState { time: t });

@@ -2,7 +2,7 @@ use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::integrate::{rk4_step, Rkf45, TrapezoidalNewton};
+use crate::integrate::{rk4_step_in, Rkf45, TrapezoidalNewton};
 use crate::{Bus, OdeSystem, Result, SimError, Trace};
 
 /// Identifier of a process registered with a [`MixedSim`].
@@ -172,6 +172,9 @@ pub struct MixedSim<S: OdeSystem> {
     sample_interval: Option<f64>,
     sample_origin: f64,
     sample_count: u64,
+    /// RK4 stage scratch (`5 * dim` values), allocated once so the
+    /// fixed-step hot loop allocates nothing.
+    rk4_work: Vec<f64>,
 }
 
 impl<S: OdeSystem + 'static> MixedSim<S> {
@@ -187,6 +190,7 @@ impl<S: OdeSystem + 'static> MixedSim<S> {
             system.dim(),
             "initial state dimension must match the system"
         );
+        let rk4_work = vec![0.0; 5 * initial_state.len()];
         MixedSim {
             system,
             state: initial_state,
@@ -201,6 +205,7 @@ impl<S: OdeSystem + 'static> MixedSim<S> {
             sample_interval: None,
             sample_origin: 0.0,
             sample_count: 0,
+            rk4_work,
         }
     }
 
@@ -380,7 +385,7 @@ impl<S: OdeSystem + 'static> MixedSim<S> {
                     let mut t = self.time;
                     while t < seg_end {
                         let step = dt.min(seg_end - t);
-                        rk4_step(&self.system, t, &mut self.state, step);
+                        rk4_step_in(&self.system, t, &mut self.state, step, &mut self.rk4_work);
                         t += step;
                     }
                 }

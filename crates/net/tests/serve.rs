@@ -441,13 +441,23 @@ fn oversized_frames_are_rejected_and_the_stream_recovers() {
 #[test]
 fn queued_jobs_cancel_before_running() {
     // One worker: the second submission must wait behind the first, so
-    // the cancel deterministically hits it while queued.
+    // the cancel hits it while queued as long as the first job is still
+    // running when the cancel arrives. A full-engine run keeps the worker
+    // busy for most of a second in a debug build, so the cancel arrives in
+    // time even when parallel tests starve this client thread.
     let (addr, handle) = start_server(ServeConfig {
         workers: 1,
         ..Default::default()
     });
     let mut client = Client::connect(addr);
-    client.send(&tagged(run_request(12, 600.0), "slow").to_json());
+    let slow = Request::Run(RunJob {
+        seed: 12,
+        engine: EngineKind::Full,
+        horizon: 30.0,
+        dt: 1e-3,
+        ..RunJob::default()
+    });
+    client.send(&tagged(slow, "slow").to_json());
     client.send(&tagged(run_request(13, 600.0), "victim").to_json());
 
     // Collect both accepted frames (job numbers) before cancelling.

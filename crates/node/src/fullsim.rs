@@ -27,6 +27,10 @@ use crate::{Mcu, Result, SensorNode, SystemConfig, TuningFirmware};
 /// (it is the reason the paper's ref \[9\] developed an accelerated
 /// technique) and exists to validate the envelope engine — see
 /// [`crate::analysis::compare_engines`] and the `engine_ablation` bench.
+/// Its cost is the RK4 step: 72 M steps per simulated hour at the default
+/// step, each allocation-free ([`msim::integrate::rk4_step_in`]) with two
+/// vibration `sin` evaluations (the circuit memoises the base
+/// acceleration across the stages that share a time).
 ///
 /// The engine value carries only its analogue step (see [`SimEngine`]):
 /// one instance runs any number of experiment descriptions.
@@ -575,6 +579,21 @@ mod tests {
                 w[1] - w[0]
             );
         }
+    }
+
+    #[test]
+    fn cache_fingerprints_are_pinned() {
+        // Persisted `EvalCache` entries are keyed on these values. A
+        // change that leaves every outcome bit-identical must keep them;
+        // one that changes outcomes must change them.
+        assert_eq!(
+            FullSystemSim::new().cache_fingerprint(),
+            0xb8d8_1ffd_2c48_fb32
+        );
+        assert_eq!(
+            FullSystemSim::new().with_dt(2e-4).cache_fingerprint(),
+            0xb86b_9ffd_2bed_02d2
+        );
     }
 
     #[test]

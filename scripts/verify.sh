@@ -18,8 +18,8 @@ cargo build --release --offline
 echo "== cargo test --offline =="
 cargo test -q --offline
 
-echo "== cargo test cross_engine (envelope vs full co-simulation) =="
-cargo test -q --offline -p wsn-dse --test cross_engine
+echo "== cargo test cross_engine (envelope vs full co-simulation, incl. the one-hour row) =="
+cargo test -q --offline --release -p wsn-dse --test cross_engine -- --include-ignored
 
 echo "== fault-injection gate: determinism + nominal preservation =="
 cargo test -q --offline -p wsn-dse --test determinism -- \
