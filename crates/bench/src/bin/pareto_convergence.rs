@@ -127,7 +127,7 @@ fn compare(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = wsn_bench::cli_args()?;
     let quick = args.has_flag("quick");
-    let out = args.get("out").unwrap_or("BENCH_pareto.json");
+    let out = args.get("out")?.unwrap_or("BENCH_pareto.json");
     // Quick mode shortens the horizons; the comparison logic is
     // identical, so the gate still exercises the full claim.
     let (node_horizon, fleet_horizon, fleet_nodes) = if quick {

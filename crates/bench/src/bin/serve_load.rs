@@ -172,7 +172,10 @@ fn run_phase(addr: SocketAddr, clients: usize, jobs: &[Request]) -> PhaseStats {
 fn main() {
     let args = wsn_bench::cli_args().expect("command-line options");
     let quick = args.has_flag("quick");
-    let out = args.get("out").unwrap_or("BENCH_serve.json");
+    let out = args
+        .get("out")
+        .expect("command-line options")
+        .unwrap_or("BENCH_serve.json");
     let (clients, jobs, horizon) = if quick { (2, 4, 300.0) } else { (4, 8, 450.0) };
 
     let server = Server::bind(

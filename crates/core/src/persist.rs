@@ -45,7 +45,7 @@
 //! ignored by the loader.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -232,26 +232,16 @@ pub(crate) fn write_cache_file(path: &Path, entries: &HashMap<EvalKey, f64>) -> 
     }
 }
 
-/// Verifies a reader still yields bytes — used by tests to distinguish
-/// a short read from corruption. (Kept small and private.)
-#[allow(dead_code)]
-fn read_exact_or_none<R: Read>(reader: &mut R, buf: &mut [u8]) -> Option<()> {
-    reader.read_exact(buf).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_node::EngineKind;
+    use wsn_node::EnvelopeSim;
 
     fn sample_entries() -> HashMap<EvalKey, f64> {
         let mut entries = HashMap::new();
         for i in 0..8 {
-            let key = EvalKey::new(
-                EngineKind::Envelope,
-                1000 + i,
-                &[i as f64 * 0.25, -0.5, 1.0],
-            );
+            let key =
+                EvalKey::for_engine(&EnvelopeSim::new(), 1000 + i, &[i as f64 * 0.25, -0.5, 1.0]);
             entries.insert(key, i as f64 * 1.5 - 2.0);
         }
         // A key with different arity and an engine fingerprint beyond u8.
@@ -301,7 +291,7 @@ mod tests {
                 std::thread::spawn(move || {
                     (0..40u64)
                         .map(|i| {
-                            let key = EvalKey::new(EngineKind::Envelope, worker, &[i as f64]);
+                            let key = EvalKey::for_engine(&EnvelopeSim::new(), worker, &[i as f64]);
                             cache.insert(key, (worker * 100 + i) as f64);
                             cache.flush()
                         })

@@ -75,7 +75,7 @@ pub struct DseReport {
     /// Evaluation-cache counters at the end of the flow (hits, misses,
     /// inserts, disk loads, quarantined records). Deterministic for a
     /// given flow — prescans are sequential — and invariant across
-    /// `jobs` settings and linalg backends; `disk_loads > 0` is the
+    /// `jobs` settings; `disk_loads > 0` is the
     /// observable proof that a `--cache-dir` warm start worked.
     pub cache: CacheStats,
 }

@@ -1,4 +1,4 @@
-use numkit::linalg::{Backend, LinAlg, SMAT_MAX_COLS};
+use numkit::linalg::{LinAlg, SMAT_MAX_COLS};
 use numkit::rng::Rng;
 
 use numkit::{Matrix, SMat};
@@ -39,7 +39,6 @@ pub struct DOptimal {
     seed: u64,
     max_passes: usize,
     criterion: OptimalityCriterion,
-    linalg: Backend,
 }
 
 /// Alphabetic optimality criterion driving the exchange search.
@@ -76,20 +75,12 @@ impl DOptimal {
             seed: 0,
             max_passes: 50,
             criterion: OptimalityCriterion::D,
-            linalg: Backend::default(),
         }
     }
 
     /// Selects the optimality criterion (default: D, as in the paper).
     pub fn criterion(mut self, criterion: OptimalityCriterion) -> Self {
         self.criterion = criterion;
-        self
-    }
-
-    /// Selects the linear-algebra backend for the exchange-loop scoring
-    /// (a solver choice: both backends produce bit-identical designs).
-    pub fn linalg(mut self, backend: Backend) -> Self {
-        self.linalg = backend;
         self
     }
 
@@ -162,9 +153,7 @@ impl DOptimal {
             .map(|c| self.model.expand(c))
             .collect();
         let criterion = self.criterion;
-        let backend = self.linalg;
-        let score =
-            |selected: &[usize]| score_selection(&rows, selected, p, criterion, None, backend);
+        let score = |selected: &[usize]| score_selection(&rows, selected, p, criterion, None);
 
         // Greedy initialisation from a shuffled candidate order: repeatedly
         // add the candidate that most increases ln det(XᵀX + ridge I).
@@ -275,10 +264,8 @@ impl DOptimal {
             .map(|c| self.model.expand(c))
             .collect();
         let criterion = self.criterion;
-        let backend = self.linalg;
-        let score = |selected: &[usize]| {
-            score_selection(&rows, selected, p, criterion, Some(&base_gram), backend)
-        };
+        let score =
+            |selected: &[usize]| score_selection(&rows, selected, p, criterion, Some(&base_gram));
 
         let mut rng = Rng::new(self.seed);
         let mut order: Vec<usize> = (0..candidates.len()).collect();
@@ -398,48 +385,39 @@ fn information_matrix(
 
 /// Exchange score of a selection — larger is better for every criterion
 /// (A and I are negated so the maximising exchange loop applies
-/// unchanged). Dispatches to heap or stack storage per the backend; the
-/// two paths run the same kernels and score bit-identically.
+/// unchanged). Models with at most [`SMAT_MAX_COLS`] terms score on
+/// stack storage, larger ones on the heap; the two run the same kernels
+/// and score bit-identically.
 fn score_selection(
     rows: &[Vec<f64>],
     selected: &[usize],
     p: usize,
     criterion: OptimalityCriterion,
     base: Option<&Matrix>,
-    backend: Backend,
 ) -> f64 {
-    match backend {
-        Backend::SMat if p <= SMAT_MAX_COLS => {
-            let gram = SMat::<SMAT_MAX_COLS, SMAT_MAX_COLS>::zeros(p, p);
-            let l = gram;
-            let mut scratch = [0.0; SMAT_MAX_COLS];
-            score_selection_on(
-                gram,
-                l,
-                &mut scratch[..p],
-                rows,
-                selected,
-                p,
-                criterion,
-                base,
-            )
-        }
-        _ => {
-            let gram = Matrix::zeros(p, p);
-            let l = gram.clone();
-            let mut scratch = vec![0.0; p];
-            score_selection_on(gram, l, &mut scratch, rows, selected, p, criterion, base)
-        }
+    if p <= SMAT_MAX_COLS {
+        let zeros = SMat::<SMAT_MAX_COLS, SMAT_MAX_COLS>::zeros(p, p);
+        let scratch = &mut [0.0; SMAT_MAX_COLS][..p];
+        score_selection_on(zeros, scratch, rows, selected, p, criterion, base)
+    } else {
+        let scratch = &mut vec![0.0; p];
+        score_selection_on(
+            Matrix::zeros(p, p),
+            scratch,
+            rows,
+            selected,
+            p,
+            criterion,
+            base,
+        )
     }
 }
 
-/// Backend-generic scoring body: accumulate the information matrix into
-/// `gram`, Cholesky-factor it into `l`, evaluate the criterion using
-/// `scratch` (length `p`) for the solves.
-#[allow(clippy::too_many_arguments)]
-fn score_selection_on<M: LinAlg>(
+/// Storage-generic scoring body: accumulate the information matrix into
+/// `gram` (zeroed `p × p`), Cholesky-factor it into a copy, evaluate the
+/// criterion using `scratch` (length `p`) for the solves.
+fn score_selection_on<M: LinAlg + Clone>(
     mut gram: M,
-    mut l: M,
     scratch: &mut [f64],
     rows: &[Vec<f64>],
     selected: &[usize],
@@ -447,6 +425,7 @@ fn score_selection_on<M: LinAlg>(
     criterion: OptimalityCriterion,
     base: Option<&Matrix>,
 ) -> f64 {
+    let mut l = gram.clone();
     accumulate_information(&mut gram, rows, selected, p, base);
     if l.la_cholesky_factor_from(&gram).is_err() {
         return f64::NEG_INFINITY;
@@ -484,6 +463,7 @@ fn score_selection_on<M: LinAlg>(
 mod tests {
     use super::*;
     use crate::diagnostics;
+    use proptest::prelude::*;
 
     #[test]
     fn paper_configuration_ten_runs_three_factors() {
@@ -749,53 +729,75 @@ mod tests {
         assert!(eff_aug > 0.5 * eff_base);
     }
 
-    #[test]
-    fn backends_build_identical_designs() {
-        let model = ModelSpec::quadratic(3);
+    /// Scores a random selection on stack and heap storage and asserts the
+    /// same bits for every criterion.
+    fn assert_storages_score_identically(
+        rows: &[Vec<f64>],
+        selected: &[usize],
+        base: Option<&Matrix>,
+    ) {
+        let p = rows[0].len();
         for criterion in [
             OptimalityCriterion::D,
             OptimalityCriterion::A,
             OptimalityCriterion::I,
         ] {
-            let dyn_design = DOptimal::new(3, model.clone())
-                .runs(12)
-                .seed(7)
-                .criterion(criterion)
-                .linalg(Backend::Dyn)
-                .build()
-                .unwrap();
-            let smat_design = DOptimal::new(3, model.clone())
-                .runs(12)
-                .seed(7)
-                .criterion(criterion)
-                .linalg(Backend::SMat)
-                .build()
-                .unwrap();
-            assert_eq!(dyn_design, smat_design, "{criterion:?} designs diverged");
+            let stack = SMat::<SMAT_MAX_COLS, SMAT_MAX_COLS>::zeros(p, p);
+            let stack_scratch = &mut [0.0; SMAT_MAX_COLS][..p];
+            let on_stack =
+                score_selection_on(stack, stack_scratch, rows, selected, p, criterion, base);
+            let heap_scratch = &mut vec![0.0; p];
+            let on_heap = score_selection_on(
+                Matrix::zeros(p, p),
+                heap_scratch,
+                rows,
+                selected,
+                p,
+                criterion,
+                base,
+            );
+            assert_eq!(
+                on_stack.to_bits(),
+                on_heap.to_bits(),
+                "{criterion:?}: {on_stack} vs {on_heap} for {selected:?}"
+            );
         }
     }
 
-    #[test]
-    fn backends_augment_identically() {
-        let model = ModelSpec::quadratic(2);
-        let base = DOptimal::new(2, model.clone())
-            .runs(6)
-            .seed(1)
-            .build()
-            .unwrap();
-        let dyn_aug = DOptimal::new(2, model.clone())
-            .runs(9)
-            .seed(1)
-            .linalg(Backend::Dyn)
-            .augment(&base)
-            .unwrap();
-        let smat_aug = DOptimal::new(2, model.clone())
-            .runs(9)
-            .seed(1)
-            .linalg(Backend::SMat)
-            .augment(&base)
-            .unwrap();
-        assert_eq!(dyn_aug, smat_aug);
+    /// Model rows of the paper's quadratic basis over the 27-point grid.
+    fn paper_rows() -> Vec<Vec<f64>> {
+        let model = ModelSpec::quadratic(3);
+        full_factorial(3, 3)
+            .unwrap()
+            .points()
+            .iter()
+            .map(|c| model.expand(c))
+            .collect()
+    }
+
+    proptest! {
+        /// `build` touches storage only through `score_selection`, so
+        /// equal scores on stack and heap storage mean equal designs.
+        /// Short selections leave the information matrix singular and
+        /// pin the `-inf` path too.
+        #[test]
+        fn backends_build_identical_designs(
+            selected in prop::collection::vec(0..27usize, 1..20),
+        ) {
+            assert_storages_score_identically(&paper_rows(), &selected, None);
+        }
+
+        /// `augment` scores on top of a fixed base gram: the same
+        /// storage equality with a random base design.
+        #[test]
+        fn backends_augment_identically(
+            base in prop::collection::vec(0..27usize, 1..12),
+            selected in prop::collection::vec(0..27usize, 1..12),
+        ) {
+            let rows = paper_rows();
+            let base_gram = information_matrix(&rows, &base, 10, None);
+            assert_storages_score_identically(&rows, &selected, Some(&base_gram));
+        }
     }
 
     #[test]

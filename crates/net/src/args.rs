@@ -54,23 +54,33 @@ impl Args {
     }
 
     /// The raw value of `--key`, when given.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
+    ///
+    /// # Errors
+    ///
+    /// Refuses `--key` given without a value (last on the line, or
+    /// followed by another `--option`), so a valued option is never
+    /// silently left at its default.
+    pub fn get(&self, key: &str) -> Result<Option<&str>, String> {
+        if self.has_flag(key) {
+            return Err(format!("--{key}: expected a value"));
+        }
+        Ok(self
+            .pairs
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_str()))
     }
 
     /// The value of `--key` parsed as a `T`, when given.
     ///
     /// # Errors
     ///
-    /// Reports a value that does not parse.
+    /// Reports a value that does not parse, or `--key` given without one.
     pub fn value<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
     where
         T::Err: fmt::Display,
     {
-        self.get(key)
+        self.get(key)?
             .map(|v| v.parse().map_err(|e| format!("--{key}: {e} (got {v})")))
             .transpose()
     }
@@ -122,6 +132,26 @@ mod tests {
         assert!(args.value::<u64>("rate").is_err());
         assert!(args.has_flag("json"));
         assert!(!args.has_flag("trace"));
+    }
+
+    #[test]
+    fn valued_options_without_a_value_are_refused() {
+        for argv in [
+            &["chaos", "--points"][..],
+            &["run", "--cache-dir"],
+            &["run", "--jobs", "--json"],
+        ] {
+            let args = of(argv);
+            let key = argv[1].trim_start_matches("--");
+            let err = args.get(key).unwrap_err();
+            assert_eq!(err, format!("--{key}: expected a value"), "{argv:?}");
+            assert_eq!(args.value::<usize>(key).unwrap_err(), err, "{argv:?}");
+        }
+        // Absent options still read as absent, and a bare flag stays a flag.
+        let args = of(&["run", "--jobs", "2", "--json"]);
+        assert_eq!(args.get("jobs"), Ok(Some("2")));
+        assert_eq!(args.get("cache-dir"), Ok(None));
+        assert!(args.has_flag("json"));
     }
 
     #[test]

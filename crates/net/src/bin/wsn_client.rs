@@ -48,7 +48,7 @@ fn usage() -> &'static str {
 
 fn connect(args: &Args) -> Result<TcpStream, String> {
     let addr = args
-        .get("addr")
+        .get("addr")?
         .ok_or_else(|| format!("--addr HOST:PORT is required\n{}", usage()))?;
     TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))
 }

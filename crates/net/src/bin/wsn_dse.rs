@@ -21,7 +21,6 @@
 //!
 //! every job command: [--engine E] [--dt S] [--fault-seed N --fault-rate R]
 //! how jobs run:      [--jobs N] [--cache-dir DIR] [--eval-timeout S] [--eval-retries N]
-//!                    [--linalg dyn|smat] [--arbitration indexed|naive]
 //! ```
 //!
 //! The five job commands — `run`, `simulate`, `faults`, `network` and
@@ -56,13 +55,13 @@
 //! for 60 s, on a schedule that is a pure function of the seed.
 //!
 //! `--jobs N` caps the simulation threads (0: all cores); reports are
-//! bit-identical at any count, and with either `--linalg` backend or
-//! `--arbitration` method, which are solver choices (gated by
-//! `scripts/verify.sh`). `--cache-dir DIR` attaches the crash-safe
-//! persistent evaluation cache; cached values are bit-identical to fresh
-//! ones, so a warm report matches a cold one. `--eval-timeout S` arms a
-//! per-evaluation wall-clock budget and `--eval-retries N` allows N
-//! retries with deterministic backoff.
+//! bit-identical at any count (gated by `scripts/verify.sh`).
+//! `--cache-dir DIR` attaches the crash-safe persistent evaluation
+//! cache; cached values are bit-identical to fresh ones, so a warm
+//! report matches a cold one. `--eval-timeout S` arms a per-evaluation
+//! wall-clock budget and `--eval-retries N` allows N retries with
+//! deterministic backoff. A valued option given without its value is an
+//! error, never a silent default.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -103,9 +102,6 @@ fn usage() -> &'static str {
        radio/watchdog/vibration faults at rate R\n\
      job commands take the options of the serving protocol's job types, with\n\
        the same defaults; a served report equals the --json one\n\
-     --linalg dyn|smat selects the linear-algebra backend (default smat)\n\
-       and --arbitration indexed|naive the channel arbitration (default\n\
-       indexed); reports are bit-identical either way\n\
      --cache-dir DIR (run, sweep, refine, faults, network --dse, pareto, serve)\n\
        attaches the crash-safe persistent evaluation cache; warm reports match cold ones\n\
      --eval-timeout S arms a per-evaluation wall-clock budget;\n\
@@ -124,12 +120,12 @@ fn eval_deadline_from(args: &Args) -> Result<Option<Duration>, String> {
 }
 
 /// The execution context of this process: `--jobs`, `--eval-timeout`,
-/// `--eval-retries` (backoff jitter keyed by `--seed`), `--linalg`,
-/// `--arbitration` and, when `attach_cache`, the persistent cache of
+/// `--eval-retries` (backoff jitter keyed by `--seed`) and, when
+/// `attach_cache`, the persistent cache of
 /// `--cache-dir` (an unusable directory only costs persistence).
 fn context_from(args: &Args, attach_cache: bool) -> Result<ExecContext, String> {
     let cache = Arc::new(EvalCache::new());
-    if let (true, Some(dir)) = (attach_cache, args.get("cache-dir")) {
+    if let (true, Some(dir)) = (attach_cache, args.get("cache-dir")?) {
         if let Err(e) = cache.persist_to(std::path::Path::new(dir)) {
             eprintln!(
                 "warning: cannot attach eval cache at {dir}: {e}; continuing without persistence"
@@ -143,8 +139,6 @@ fn context_from(args: &Args, attach_cache: bool) -> Result<ExecContext, String> 
         retry: exec::retry_policy(args.value("eval-retries")?, jitter_seed),
         deadline: eval_deadline_from(args)?,
         ladder: None,
-        linalg: args.value("linalg")?.unwrap_or_default(),
-        arbitration: args.value("arbitration")?.unwrap_or_default(),
     })
 }
 
@@ -168,7 +162,7 @@ fn cmd_job(command: &str, args: &Args) -> Result<(), String> {
     // is never cached: neither attaches `--cache-dir`.
     let uses_cache = match &request {
         Request::Network(NetworkJob { dse: false, .. }) => {
-            if args.get("cache-dir").is_some() {
+            if args.get("cache-dir")?.is_some() {
                 // One structured JSON line, so scripted callers can
                 // detect the ignored option instead of matching prose.
                 eprintln!("{}", wsn_net::serve::cache_dir_ignored_warning());
@@ -186,7 +180,7 @@ fn cmd_job(command: &str, args: &Args) -> Result<(), String> {
     }
     match (&request, &report) {
         (_, JobReport::Run(report)) => {
-            if let Some(dir) = args.get("csv") {
+            if let Some(dir) = args.get("csv")? {
                 let dir = std::path::Path::new(dir);
                 std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
                 let mut runs =
@@ -227,7 +221,7 @@ fn flow_from(args: &Args) -> Result<DseFlow, String> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let factor = match args.get("factor") {
+    let factor = match args.get("factor")? {
         Some("clock") => 0,
         Some("watchdog") => 1,
         Some("interval") => 2,
@@ -296,7 +290,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     // The ladder under test: the envelope engine wrapped in a seeded
     // chaos injector, backed by a surrogate calibrated from the clean
     // envelope engine, with per-tier breakers.
-    let ladder = exec::chaos_ladder(seed, rate, &template, ctx.linalg)?;
+    let ladder = exec::chaos_ladder(seed, rate, &template)?;
     let engine: Arc<dyn SimEngine> = ladder.clone();
     let space = paper_design_space();
 
@@ -392,19 +386,19 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let config = wsn_net::ServeConfig {
         workers: args.value("workers")?.unwrap_or(2),
         jobs: args.value("jobs")?.unwrap_or(0),
-        cache_dir: args.get("cache-dir").map(std::path::PathBuf::from),
+        cache_dir: args.get("cache-dir")?.map(std::path::PathBuf::from),
         chaos_rate: args.value("chaos-rate")?.unwrap_or(0.0),
         chaos_seed: args.value("chaos-seed")?.unwrap_or(7),
         eval_timeout: eval_deadline_from(args)?,
         eval_retries: args.value("eval-retries")?,
     };
     let workers = config.workers;
-    let server = wsn_net::Server::bind(args.get("addr").unwrap_or("127.0.0.1:0"), config)?;
+    let server = wsn_net::Server::bind(args.get("addr")?.unwrap_or("127.0.0.1:0"), config)?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     println!("{{\"event\":\"serving\",\"addr\":\"{addr}\",\"workers\":{workers}}}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    if let Some(path) = args.get("addr-file") {
+    if let Some(path) = args.get("addr-file")? {
         std::fs::write(path, addr.to_string()).map_err(|e| e.to_string())?;
     }
     server.run();

@@ -14,7 +14,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use doe::{DOptimal, Design, DesignSpace, ModelSpec};
-use numkit::Backend;
 use optim::{Bounds, GeneticAlgorithm, Optimizer, SimulatedAnnealing};
 use rsm::ResponseSurface;
 use wsn_dse::{
@@ -207,7 +206,6 @@ pub struct FleetDseFlow {
     doe_runs: usize,
     seed: u64,
     pool: SimPool,
-    linalg: Backend,
 }
 
 impl FleetDseFlow {
@@ -226,22 +224,7 @@ impl FleetDseFlow {
             doe_runs: 10,
             seed: 12,
             pool: SimPool::new(0),
-            linalg: Backend::default(),
         }
-    }
-
-    /// Selects the linear-algebra backend for design construction,
-    /// surface fitting and surface scoring. A solver choice, not fleet
-    /// physics: reports are bit-identical across backends, so the
-    /// backend never enters cache keys or report JSON.
-    pub fn linalg(mut self, backend: Backend) -> Self {
-        self.linalg = backend;
-        self
-    }
-
-    /// The selected linear-algebra backend.
-    pub fn linalg_backend(&self) -> Backend {
-        self.linalg
     }
 
     /// Replaces the fleet specification. Keys carry the fleet
@@ -383,7 +366,6 @@ impl FleetDseFlow {
         Ok(DOptimal::new(self.space.dimension(), self.model.clone())
             .runs(self.doe_runs)
             .seed(self.seed)
-            .linalg(self.linalg)
             .build()?)
     }
 
@@ -399,8 +381,7 @@ impl FleetDseFlow {
         let responses = self
             .pool
             .evaluate_batch(&self.keys_for(points), |i| self.evaluate_coded(&points[i]))?;
-        let surface =
-            ResponseSurface::fit_with(&design, self.model.clone(), &responses, self.linalg)?;
+        let surface = ResponseSurface::fit(&design, self.model.clone(), &responses)?;
         let d_efficiency = doe::diagnostics::d_efficiency(&design, &self.model)?;
 
         let original_cfg = NodeConfig::original();
@@ -541,7 +522,7 @@ mod tests {
         let point = vec![0.0, 0.0, 0.0];
         let fleet_key = flow.keys_for(std::slice::from_ref(&point));
         let scenario = flow.spec().template.scenario().fingerprint();
-        let single_key = EvalKey::new(flow.engine_kind(), scenario, &point);
+        let single_key = EvalKey::for_engine(flow.sim.engine_ref(), scenario, &point);
         assert_ne!(fleet_key[0], single_key);
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! What a job computes is its [`Request`] spec (see
 //! [`wsn_dse::protocol`]); how it is computed — pool threads, the
-//! evaluation cache, retries, deadlines, the chaos ladder and the solver
-//! choices — is the [`ExecContext`]. The server keeps one context for
+//! evaluation cache, retries, deadlines and the chaos ladder — is the
+//! [`ExecContext`]. The server keeps one context for
 //! its lifetime; the CLI builds one per process from its options.
 
 use std::fmt;
@@ -22,8 +22,8 @@ use wsn_dse::protocol::{
 };
 use wsn_dse::robustness::{evaluate_scenarios_with, fault_robustness_with, RobustnessSummary};
 use wsn_dse::{
-    coded_to_config, paper_design_space, paper_design_space_with_timer, Backend, DseFlow,
-    DseReport, EvalCache, RetryPolicy, SimPool, SurrogateEngine,
+    coded_to_config, paper_design_space, paper_design_space_with_timer, DseFlow, DseReport,
+    EvalCache, RetryPolicy, SimPool, SurrogateEngine,
 };
 use wsn_node::{
     ChaosEngine, ChaosPlan, EngineKind, FallbackEngine, FaultCounters, FaultPlan, NodeConfig,
@@ -32,8 +32,8 @@ use wsn_node::{
 use wsn_pareto::{MultiObjective, NodeObjectives, ParetoDseFlow, ParetoReport};
 
 use crate::{
-    ArbitrationMethod, FleetDseFlow, FleetDseReport, FleetObjectives, FleetSpec, FleetTopology,
-    NetworkReport, NetworkSim, RadioChannel,
+    FleetDseFlow, FleetDseReport, FleetObjectives, FleetSpec, FleetTopology, NetworkReport,
+    NetworkSim, RadioChannel,
 };
 
 /// How jobs are computed: everything [`execute`] needs besides the job
@@ -56,11 +56,6 @@ pub struct ExecContext {
     /// When armed, the engine of every job: the chaos degradation
     /// ladder from [`chaos_ladder`].
     pub ladder: Option<Arc<FallbackEngine>>,
-    /// Linear-algebra backend (reports are bit-identical either way).
-    pub linalg: Backend,
-    /// Channel-arbitration method (reports are bit-identical either
-    /// way).
-    pub arbitration: ArbitrationMethod,
 }
 
 impl Default for ExecContext {
@@ -71,8 +66,6 @@ impl Default for ExecContext {
             retry: RetryPolicy::default(),
             deadline: None,
             ladder: None,
-            linalg: Backend::default(),
-            arbitration: ArbitrationMethod::default(),
         }
     }
 }
@@ -119,7 +112,7 @@ pub fn retry_policy(retries: Option<u32>, jitter_seed: u64) -> RetryPolicy {
 /// response-surface surrogate. The surrogate is calibrated from the
 /// clean envelope engine over `template` exactly like the paper flow's
 /// surface: a 10-run D-optimal design seeded by `seed`, simulated and
-/// fitted with `linalg`.
+/// fitted.
 ///
 /// # Errors
 ///
@@ -128,7 +121,6 @@ pub fn chaos_ladder(
     seed: u64,
     rate: f64,
     template: &SystemConfig,
-    linalg: Backend,
 ) -> Result<Arc<FallbackEngine>, String> {
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("chaos rate must be in [0, 1], got {rate}"));
@@ -138,7 +130,6 @@ pub fn chaos_ladder(
     let design = DOptimal::new(space.dimension(), model.clone())
         .runs(10)
         .seed(seed)
-        .linalg(linalg)
         .build()
         .map_err(|e| e.to_string())?;
     let clean = EngineKind::Envelope.engine();
@@ -149,8 +140,7 @@ pub fn chaos_ladder(
         let out = clean.simulate(&cfg).map_err(|e| e.to_string())?;
         responses.push(out.transmissions as f64);
     }
-    let surface =
-        ResponseSurface::fit_with(&design, model, &responses, linalg).map_err(|e| e.to_string())?;
+    let surface = ResponseSurface::fit(&design, model, &responses).map_err(|e| e.to_string())?;
     let surrogate: Arc<dyn SimEngine> = Arc::new(SurrogateEngine::new(space, surface));
     let chaotic: Arc<dyn SimEngine> = Arc::new(ChaosEngine::new(
         EngineKind::Envelope.engine(),
@@ -310,7 +300,6 @@ pub fn dse_flow(ctx: &ExecContext, job: &RunJob) -> DseFlow {
         .seed(job.seed)
         .doe_runs(job.runs as usize)
         .jobs(ctx.jobs)
-        .linalg(ctx.linalg)
         .retry_policy(ctx.retry.clone())
         .eval_deadline(ctx.deadline(job.timeout_ms))
         .with_engine(ctx.engine(job.engine, job.dt))
@@ -384,7 +373,6 @@ fn faults(ctx: &ExecContext, job: &FaultsJob) -> Result<FaultsReport, String> {
 
 /// The fleet `network` and `pareto --fleet` evaluate.
 fn fleet_spec(
-    ctx: &ExecContext,
     nodes: u64,
     seed: u64,
     template: SystemConfig,
@@ -408,7 +396,7 @@ fn fleet_spec(
     let mut spec = FleetSpec::paper(nodes as usize)
         .with_seed(seed)
         .with_template(template)
-        .with_channel(channel.with_method(ctx.arbitration));
+        .with_channel(channel);
     let spreads = (
         options.freq_spread.unwrap_or(spec.freq_spread_hz),
         options.phase_spread.unwrap_or(spec.phase_spread_s),
@@ -429,7 +417,6 @@ fn fleet_spec(
 /// Evaluates (or, with `dse`, optimises) a fleet on a shared channel.
 fn network(ctx: &ExecContext, job: &NetworkJob) -> Result<JobReport, String> {
     let spec = fleet_spec(
-        ctx,
         job.nodes,
         job.fleet_seed,
         paper_template(job.f0, job.horizon),
@@ -443,7 +430,6 @@ fn network(ctx: &ExecContext, job: &NetworkJob) -> Result<JobReport, String> {
             .seed(job.seed)
             .doe_runs(job.runs as usize)
             .jobs(ctx.jobs)
-            .linalg(ctx.linalg)
             .retry_policy(ctx.retry.clone())
             .eval_deadline(ctx.deadline(job.timeout_ms))
             .with_engine(engine)
@@ -470,7 +456,6 @@ fn pareto(ctx: &ExecContext, job: &ParetoJob) -> Result<ParetoReport, String> {
     let engine = ctx.engine(job.engine, job.dt);
     let objective: Arc<dyn MultiObjective> = if job.fleet {
         let spec = fleet_spec(
-            ctx,
             job.nodes,
             job.fleet_seed,
             template,
@@ -494,7 +479,6 @@ fn pareto(ctx: &ExecContext, job: &ParetoJob) -> Result<ParetoReport, String> {
         .front_cap(job.front_cap as usize)
         .explore(job.explore)
         .jobs(ctx.jobs)
-        .linalg(ctx.linalg)
         .retry_policy(ctx.retry.clone())
         .eval_deadline(ctx.deadline(job.timeout_ms));
     if job.timer_space {

@@ -37,7 +37,7 @@ use std::time::Duration;
 use harvester::VibrationProfile;
 use wsn_dse::jobs::{EventSink, JobEvent, JobFn, JobQueue, JobState};
 use wsn_dse::protocol::{self, ProtocolError, Request, MAX_FRAME_BYTES};
-use wsn_dse::{Backend, EvalCache};
+use wsn_dse::EvalCache;
 use wsn_node::{NodeConfig, SystemConfig};
 
 use crate::exec::{self, ExecContext};
@@ -137,7 +137,6 @@ impl Server {
                 config.chaos_seed,
                 config.chaos_rate,
                 &template,
-                Backend::default(),
             )?)
         } else {
             None
@@ -148,7 +147,6 @@ impl Server {
             retry: exec::retry_policy(config.eval_retries, config.chaos_seed),
             deadline: config.eval_timeout,
             ladder,
-            ..ExecContext::default()
         };
         let state = Arc::new(ServerState {
             queue: JobQueue::new(config.workers),

@@ -2,7 +2,7 @@
 //! fleet evaluator and exact reduction to the single-node simulator.
 
 use harvester::VibrationProfile;
-use wsn_net::{FleetSpec, NetworkSim, RadioChannel};
+use wsn_net::{FleetSpec, NetworkSim, NodeTrace, RadioChannel};
 use wsn_node::{EngineKind, NodeConfig, SystemConfig};
 
 /// A short-horizon fleet template so the tests stay fast; everything else
@@ -96,5 +96,51 @@ fn full_engine_fleet_is_parallel_deterministic() {
     assert_eq!(
         a.attempted(),
         a.delivered() + a.collided() + a.out_of_range()
+    );
+}
+
+/// The production arbiter equals the quadratic `arbitrate_naive` oracle
+/// on a real, heavily contended fleet: the 16-node paper ring over 900 s
+/// at a 5 ms transmit interval. The oracle's traces are rebuilt from the
+/// public spec — each node's own simulation, shifted by its clock offset,
+/// at its topology position — so the check covers the fleet evaluator's
+/// trace assembly as well as the arbiter.
+#[test]
+fn contended_fleet_arbitration_equals_the_naive_sweep() {
+    let template = SystemConfig::paper(NodeConfig::original())
+        .with_horizon(900.0)
+        .with_vibration(VibrationProfile::paper_profile(75.0));
+    let spec = FleetSpec::paper(16).with_template(template);
+    let node = NodeConfig::new(8e6, 60.0, 0.005).expect("valid design point");
+    let report = NetworkSim::new()
+        .evaluate(&spec, node)
+        .expect("fleet evaluates");
+
+    let engine = EngineKind::Envelope.engine();
+    let shifted: Vec<Vec<f64>> = (0..spec.nodes)
+        .map(|i| {
+            let out = engine
+                .simulate(&spec.system_config_for(i, node))
+                .expect("node simulates");
+            let offset = spec.tx_offset_for(i);
+            out.tx_times.iter().map(|t| t + offset).collect()
+        })
+        .collect();
+    let traces: Vec<NodeTrace<'_>> = shifted
+        .iter()
+        .enumerate()
+        .map(|(i, tx_times)| NodeTrace {
+            position: spec.topology.position(i, spec.nodes),
+            tx_times,
+        })
+        .collect();
+    let naive = spec.channel.arbitrate_naive((0.0, 0.0), &traces);
+
+    for (i, node_report) in report.per_node.iter().enumerate() {
+        assert_eq!(node_report.channel, naive[i], "node {i} diverged");
+    }
+    assert!(
+        report.collided() > 0,
+        "the fleet must be contended for the comparison to mean anything"
     );
 }

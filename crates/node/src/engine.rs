@@ -60,13 +60,16 @@ pub trait SimEngine: fmt::Debug + Send + Sync {
     /// memoisation keys.
     ///
     /// The default — the [`EngineKind::discriminant`] widened to 64 bits
-    /// — is correct for the plain engines and keeps their historical key
-    /// values. Wrapper engines whose results differ from the wrapped
-    /// engine's ([`crate::ChaosEngine`] fabricating outcomes, a
-    /// [`crate::FallbackEngine`] that may answer from a lower tier)
-    /// MUST override this so their results never pollute the plain
-    /// engines' cache namespace — in particular a persistent on-disk
-    /// cache, where a collision would survive across sessions.
+    /// — is correct only for an engine whose outcomes depend on its kind
+    /// alone: [`crate::EnvelopeSim`] uses it, and its value is pinned by
+    /// a test. An engine with parameters that change outcomes
+    /// ([`crate::FullSystemSim`] folds in its analogue step) and a
+    /// wrapper whose results differ from the wrapped engine's
+    /// ([`crate::ChaosEngine`] fabricating outcomes, a
+    /// [`crate::FallbackEngine`] that may answer from a lower tier) MUST
+    /// override this so their results never share a cache entry with
+    /// another engine's — in particular in a persistent on-disk cache,
+    /// where a collision would survive across sessions.
     fn cache_fingerprint(&self) -> u64 {
         u64::from(self.kind().discriminant())
     }

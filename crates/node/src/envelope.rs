@@ -460,6 +460,13 @@ mod tests {
     }
 
     #[test]
+    fn cache_fingerprint_is_pinned() {
+        // Persisted `EvalCache` entries are keyed on this value: the
+        // envelope engine keeps the bare kind discriminant.
+        assert_eq!(EnvelopeSim::new().cache_fingerprint(), 0);
+    }
+
+    #[test]
     fn original_design_transmits() {
         let out = EnvelopeSim::new().run(&short_config(NodeConfig::original(), 600.0));
         // Tuned start above 2.8 V with a 5 s interval: roughly one tx

@@ -1,14 +1,16 @@
-//! Property-based tests for the linalg backend layer: the stack backend
-//! must be indistinguishable from the heap backend on every shipped
-//! flow — bit-identical results, identical structured errors, identical
-//! fallback behaviour beyond the stack capacity.
+//! Property-based tests for the linalg entry points: the production
+//! [`linalg::solve_least_squares`] and [`linalg::gram_inverse`] (stack
+//! storage within the caps) must be indistinguishable from the heap
+//! oracles `Matrix::qr().solve_least_squares` and
+//! `Matrix::gram().inverse()` — bit-identical results, identical
+//! structured errors, identical behaviour beyond the stack capacity.
 //!
-//! The guarantee is by construction (both backends execute the same
+//! The guarantee is by construction (both storages execute the same
 //! shared [`numkit::LinAlg`] kernels in the same order), so the
 //! assertions here are exact `to_bits` equalities, not tolerances —
 //! including on adversarially scaled inputs.
 
-use numkit::{Backend, Cholesky, Matrix};
+use numkit::{linalg, Cholesky, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a full-column-rank `m × n` design matrix: random entries
@@ -32,29 +34,25 @@ fn assert_same_bits(a: &[f64], b: &[f64]) {
 }
 
 proptest! {
-    /// Least squares agrees bit-for-bit between backends on random
+    /// Least squares agrees bit-for-bit with the heap oracle on random
     /// well-posed systems (the surface-fit flow).
     #[test]
     fn least_squares_is_bit_identical(
         x in design_matrix(9, 5),
         y in prop::collection::vec(-5.0..5.0f64, 9),
     ) {
-        let dyn_beta = Backend::Dyn.solve_least_squares(&x, &y).expect("full rank");
-        let smat_beta = Backend::SMat.solve_least_squares(&x, &y).expect("full rank");
-        assert_same_bits(&dyn_beta, &smat_beta);
+        let heap = x.qr().expect("rows >= cols").solve_least_squares(&y).expect("full rank");
+        let beta = linalg::solve_least_squares(&x, &y).expect("full rank");
+        assert_same_bits(&heap, &beta);
     }
 
-    /// (XᵀX)⁻¹ agrees bit-for-bit between backends (the PRESS /
+    /// (XᵀX)⁻¹ agrees bit-for-bit with the heap oracle (the PRESS /
     /// standard-error flow).
     #[test]
     fn gram_inverse_is_bit_identical(x in design_matrix(8, 4)) {
-        let dyn_inv = Backend::Dyn.gram_inverse(&x).expect("full rank");
-        let smat_inv = Backend::SMat.gram_inverse(&x).expect("full rank");
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(dyn_inv[(i, j)].to_bits(), smat_inv[(i, j)].to_bits());
-            }
-        }
+        let heap = x.gram().inverse().expect("full rank");
+        let inv = linalg::gram_inverse(&x).expect("full rank");
+        assert_same_bits(heap.as_slice(), inv.as_slice());
     }
 
     /// Adversarial scaling — entries spanning ~200 orders of magnitude —
@@ -68,16 +66,16 @@ proptest! {
     ) {
         let scale = 10f64.powi(exp);
         let scaled = Matrix::from_fn(7, 3, |i, j| x[(i, j)] * scale);
-        let dyn_beta = Backend::Dyn.solve_least_squares(&scaled, &y);
-        let smat_beta = Backend::SMat.solve_least_squares(&scaled, &y);
-        match (dyn_beta, smat_beta) {
+        let heap = scaled.qr().and_then(|qr| qr.solve_least_squares(&y));
+        let beta = linalg::solve_least_squares(&scaled, &y);
+        match (heap, beta) {
             (Ok(a), Ok(b)) => assert_same_bits(&a, &b),
             (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
-            (a, b) => prop_assert!(false, "backends disagree: {a:?} vs {b:?}"),
+            (a, b) => prop_assert!(false, "heap and stack paths disagree: {a:?} vs {b:?}"),
         }
     }
 
-    /// A duplicated column is rank-deficient: both backends must return
+    /// A duplicated column is rank-deficient: both paths must return
     /// the same structured error, not different failure shapes.
     #[test]
     fn degenerate_systems_fail_identically(
@@ -85,14 +83,14 @@ proptest! {
         y in prop::collection::vec(-5.0..5.0f64, 8),
     ) {
         let singular = Matrix::from_fn(8, 4, |i, j| if j == 3 { x[(i, 0)] } else { x[(i, j)] });
-        let dyn_err = Backend::Dyn.solve_least_squares(&singular, &y).unwrap_err();
-        let smat_err = Backend::SMat.solve_least_squares(&singular, &y).unwrap_err();
-        assert_eq!(format!("{dyn_err:?}"), format!("{smat_err:?}"));
+        let heap_err = singular.qr().and_then(|qr| qr.solve_least_squares(&y)).unwrap_err();
+        let err = linalg::solve_least_squares(&singular, &y).unwrap_err();
+        assert_eq!(format!("{heap_err:?}"), format!("{err:?}"));
     }
 
-    /// Beyond the stack capacity (`n > 16` columns) the stack backend
-    /// silently falls back to the heap path: results stay bit-identical
-    /// rather than erroring or diverging.
+    /// Beyond the stack capacity (`n > 16` columns) the entry points run
+    /// on the heap: results stay bit-identical rather than erroring or
+    /// diverging.
     #[test]
     fn oversized_systems_fall_back_identically(
         seed in prop::collection::vec(-3.0..3.0f64, 24 * 18),
@@ -102,9 +100,9 @@ proptest! {
         for j in 0..18 {
             x[(j, j)] += 10.0;
         }
-        let dyn_beta = Backend::Dyn.solve_least_squares(&x, &y).expect("full rank");
-        let smat_beta = Backend::SMat.solve_least_squares(&x, &y).expect("full rank");
-        assert_same_bits(&dyn_beta, &smat_beta);
+        let heap = x.qr().expect("rows >= cols").solve_least_squares(&y).expect("full rank");
+        let beta = linalg::solve_least_squares(&x, &y).expect("full rank");
+        assert_same_bits(&heap, &beta);
     }
 
     /// The O(p²) rank-1 rotation tracks a full refactorisation of

@@ -4,7 +4,7 @@
 //!
 //! Like every report in this workspace the JSON is hand-rolled with a
 //! fixed field order, `null` for non-finite floats and explicit zeros,
-//! so byte-identity across `--jobs`, linalg backends and cache warmth
+//! so byte-identity across `--jobs` and cache warmth
 //! can be checked with `cmp`. The only warmth-dependent content is the
 //! `"cache"` object, which verify.sh strips before comparing served and
 //! CLI outputs.

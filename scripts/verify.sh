@@ -34,7 +34,7 @@ cargo test -q --offline -p wsn-dse --lib -- \
   panicking_evaluations_are_caught_and_reported \
   transient_failures_are_retried_within_the_batch
 
-echo "== network gate: channel invariants + fleet reduction =="
+echo "== network gate: channel invariants, fleet reduction, naive-sweep oracle =="
 cargo test -q --offline -p wsn-net --test channel_props
 cargo test -q --offline -p wsn-net --test network
 
@@ -52,39 +52,22 @@ done
 cmp "$FLEET_DIR/jobs1.json" "$FLEET_DIR/jobs2.json"
 cmp "$FLEET_DIR/jobs1.json" "$FLEET_DIR/jobs8.json"
 
-echo "== network gate: indexed arbitration is bit-identical to the naive sweep =="
-for method in indexed naive; do
-  # shellcheck disable=SC2086
-  target/release/wsn_dse $FLEET_ARGS --arbitration "$method" \
-    > "$FLEET_DIR/arb-$method.json"
-done
-cmp "$FLEET_DIR/arb-indexed.json" "$FLEET_DIR/arb-naive.json"
-cmp "$FLEET_DIR/jobs1.json" "$FLEET_DIR/arb-indexed.json"
-
-echo "== linalg gate: backend property tests (dyn vs smat bit-identity) =="
+echo "== linalg gate: stack kernels are bit-identical to the heap oracle =="
 cargo test -q --offline -p numkit --test linalg_backends
 
-echo "== linalg gate: bit-identical DSE report for --linalg dyn|smat =="
-for linalg in dyn smat; do
-  for jobs in 1 2 8; do
-    target/release/wsn_dse run --horizon 900 --json \
-      --linalg "$linalg" --jobs "$jobs" > "$FLEET_DIR/dse-$linalg-$jobs.json"
-  done
-done
+echo "== DSE gate: bit-identical run report at --jobs 1/2/8 =="
 for jobs in 1 2 8; do
-  cmp "$FLEET_DIR/dse-dyn-$jobs.json" "$FLEET_DIR/dse-smat-$jobs.json"
+  target/release/wsn_dse run --horizon 900 --json --jobs "$jobs" \
+    > "$FLEET_DIR/dse-$jobs.json"
 done
-cmp "$FLEET_DIR/dse-dyn-1.json" "$FLEET_DIR/dse-dyn-2.json"
-cmp "$FLEET_DIR/dse-dyn-1.json" "$FLEET_DIR/dse-dyn-8.json"
+cmp "$FLEET_DIR/dse-1.json" "$FLEET_DIR/dse-2.json"
+cmp "$FLEET_DIR/dse-1.json" "$FLEET_DIR/dse-8.json"
 
-echo "== linalg gate: bit-identical fleet DSE report for --linalg dyn|smat =="
-for linalg in dyn smat; do
-  target/release/wsn_dse network --nodes 4 --horizon 900 --dse --json \
-    --linalg "$linalg" > "$FLEET_DIR/fleet-dse-$linalg.json"
-done
-cmp "$FLEET_DIR/fleet-dse-dyn.json" "$FLEET_DIR/fleet-dse-smat.json"
+echo "== DSE gate: fleet DSE baseline for the serving gate =="
+target/release/wsn_dse network --nodes 4 --horizon 900 --dse --json \
+  > "$FLEET_DIR/fleet-dse.json"
 
-echo "== linalg gate: hot-path bench smoke (asserts backend agreement) =="
+echo "== linalg gate: hot-path bench smoke (asserts batch scoring agreement) =="
 target/release/linalg_hot_path --quick --out "$FLEET_DIR/BENCH_linalg.json"
 
 echo "== pareto gate: NSGA-II invariants + flow determinism =="
@@ -142,15 +125,37 @@ target/release/wsn_dse run --horizon 900 --json --jobs 8 \
   --cache-dir "$CACHE_DIR" > "$FLEET_DIR/cache-warm.json"
 # Outside the (intentionally warmth-dependent) cache counters, the warm
 # report must match the cold one byte for byte — and the cold report must
-# match the uncached baseline produced by the linalg gate above.
+# match the uncached baseline produced by the DSE gate above.
 cmp <(strip_cache "$FLEET_DIR/cache-cold.json") \
     <(strip_cache "$FLEET_DIR/cache-warm.json")
 cmp <(strip_cache "$FLEET_DIR/cache-cold.json") \
-    <(strip_cache "$FLEET_DIR/dse-smat-1.json")
+    <(strip_cache "$FLEET_DIR/dse-1.json")
 grep -q '"disk_loads":0' "$FLEET_DIR/cache-cold.json"
 if grep -o '"disk_loads":[0-9]*' "$FLEET_DIR/cache-warm.json" \
     | grep -q '"disk_loads":0$'; then
   echo "verify: warm cache run loaded nothing from disk" >&2
+  exit 1
+fi
+
+echo "== robustness gate: a cache warmed at one --dt never answers another =="
+# The full engine's analogue step is part of its cache key: a run at
+# --dt 4e-3 over a cache filled at --dt 2e-4 must reproduce the uncached
+# --dt 4e-3 report, loading entries from disk but hitting none of them.
+DT_CACHE="$FLEET_DIR/dtcache"
+DT_ARGS="run --engine full --horizon 60 --json"
+# shellcheck disable=SC2086
+target/release/wsn_dse $DT_ARGS --dt 2e-4 --cache-dir "$DT_CACHE" > /dev/null
+# shellcheck disable=SC2086
+target/release/wsn_dse $DT_ARGS --dt 4e-3 --cache-dir "$DT_CACHE" \
+  > "$FLEET_DIR/dt-warm.json"
+# shellcheck disable=SC2086
+target/release/wsn_dse $DT_ARGS --dt 4e-3 > "$FLEET_DIR/dt-cold.json"
+cmp <(strip_cache "$FLEET_DIR/dt-warm.json") \
+    <(strip_cache "$FLEET_DIR/dt-cold.json")
+grep -q '"hits":0,' "$FLEET_DIR/dt-warm.json"
+if grep -o '"disk_loads":[0-9]*' "$FLEET_DIR/dt-warm.json" \
+    | grep -q '"disk_loads":0$'; then
+  echo "verify: the --dt 4e-3 run loaded nothing from the warmed cache" >&2
   exit 1
 fi
 
@@ -181,15 +186,15 @@ done
 [ -s "$ADDR_FILE" ] || { echo "verify: wsn-serve never announced its address" >&2; exit 1; }
 ADDR="$(cat "$ADDR_FILE")"
 # Cold pass: the served single-node report must match the CLI baseline
-# from the linalg gate byte for byte outside the cache counters.
+# from the DSE gate byte for byte outside the cache counters.
 target/release/wsn_client --addr "$ADDR" run --horizon 900 \
   > "$FLEET_DIR/served-run-cold.json"
 cmp <(strip_cache "$FLEET_DIR/served-run-cold.json") \
-    <(strip_cache "$FLEET_DIR/dse-smat-1.json")
+    <(strip_cache "$FLEET_DIR/dse-1.json")
 # Fleet DSE reports carry no cache counters: strict byte equality.
 target/release/wsn_client --addr "$ADDR" network --nodes 4 --horizon 900 --dse \
   > "$FLEET_DIR/served-fleet-dse.json"
-cmp "$FLEET_DIR/served-fleet-dse.json" "$FLEET_DIR/fleet-dse-smat.json"
+cmp "$FLEET_DIR/served-fleet-dse.json" "$FLEET_DIR/fleet-dse.json"
 # The served pareto front must match the CLI's, single-node and fleet,
 # outside the shared-cache counters.
 target/release/wsn_client --addr "$ADDR" pareto --horizon 900 \
